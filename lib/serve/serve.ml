@@ -9,7 +9,7 @@
    that never finishes its request cannot wedge the accept thread.
    Each job owns a per-request {!Budget.flag}; watcher threads turn
    client disconnect into a tripped flag — [watch_queue] sweeps parked
-   jobs, [watch_disconnect] covers the running one — which the budget
+   jobs, [with_disconnect_watch] covers the running one — which the budget
    machinery surfaces as [Budget_exceeded Cancelled] at the next
    poll — cancellation is cooperative and cannot corrupt a shared BDD
    manager mid-operation.
@@ -167,26 +167,39 @@ let response_of t (j : job) note =
 
 (* --- disconnect watcher -------------------------------------------------- *)
 
-(* A thread that trips the job's cancel flag when the peer goes away.
-   One request / one response means the client writes nothing after
-   the request frame, so a readable descriptor that peeks zero bytes
-   is EOF — a disconnect. (A misbehaving client that pipelines extra
-   bytes merely loses its disconnect cancellation.) *)
-let watch_disconnect fd flag ~done_ =
-  Thread.create
-    (fun () ->
-      try
-        while (not (Atomic.get done_)) && not (Budget.tripped flag) do
-          let readable, _, _ = Unix.select [ fd ] [] [] poll_interval in
-          if readable <> [] then
+(* Run [f] while a thread trips the job's cancel flag when the peer
+   goes away. One request / one response means the client writes
+   nothing after the request frame, so a readable descriptor that peeks
+   zero bytes is EOF — a disconnect. (A misbehaving client that
+   pipelines extra bytes merely loses its disconnect cancellation.)
+   The watcher also selects on a self-pipe that [f]'s completion
+   writes, so joining it costs no poll interval. *)
+let with_disconnect_watch fd flag f =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let watcher =
+    Thread.create
+      (fun () ->
+        let rec watch fds =
+          match Unix.select fds [] [] (-1.) with
+          | readable, _, _ when List.mem wake_r readable -> ()
+          | readable, _, _ when List.mem fd readable ->
             if Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] = 0 then
               Budget.trip flag
-            else Thread.delay poll_interval
-        done
-      with Unix.Unix_error _ -> ())
-    ()
+            else watch [ wake_r ]
+          | _ -> watch fds
+        in
+        try watch [ fd; wake_r ] with Unix.Unix_error _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (Unix.write_substring wake_w "x" 0 1) with Unix.Unix_error _ -> ());
+      Thread.join watcher;
+      Unix.close wake_r;
+      Unix.close wake_w)
+    f
 
-(* The queued-job counterpart of [watch_disconnect]: one thread (owned
+(* The queued-job counterpart of [with_disconnect_watch]: one thread (owned
    by the accept domain) that polls the fds of jobs still parked in
    the queue, so a client that hangs up while waiting trips its cancel
    flag before a worker wastes time running the job — exactly the
@@ -254,7 +267,7 @@ let worker t () =
         | None -> None
         | Some _ -> Some (fun k v -> notes := !notes @ [ (k, v) ])
       in
-      let started = Unix.gettimeofday () in
+      let started = Obs.now () in
       let resp =
         if Budget.tripped j.flag then begin
           (* The client left while the job sat in the queue — tripped
@@ -262,20 +275,12 @@ let worker t () =
           Serve_metrics.incr Serve_metrics.cancelled;
           Serve_protocol.Error_resp ("CANCELLED", "client disconnected; job cancelled")
         end
-        else begin
-          let done_ = Atomic.make false in
-          let watcher = watch_disconnect j.fd j.flag ~done_ in
-          Fun.protect
-            ~finally:(fun () ->
-              Atomic.set done_ true;
-              Thread.join watcher)
-            (fun () -> response_of t j note)
-        end
+        else with_disconnect_watch j.fd j.flag (fun () -> response_of t j note)
       in
       ledger_append t ~cmd:("serve." ^ name)
         (!notes
         @ [
-            ("runtime_s", Obs_json.Float (Unix.gettimeofday () -. started));
+            ("runtime_s", Obs_json.Float (Obs.now () -. started));
             ( "status",
               Obs_json.String
                 (match resp with

@@ -1,8 +1,12 @@
-(** Bit-parallel zero-delay logic simulation (62 patterns per word). *)
+(** Bit-parallel zero-delay logic simulation (62 patterns per word) over
+    a network compiled once into flat index arrays. *)
 
 type t
 
 val prepare : Network.t -> t
+(** Compile the network: gates in topological order, each with its
+    cubes and their literals. *)
+
 val of_mapped : Mapped.t -> t
 
 val eval_word : t -> int array -> int array
@@ -10,6 +14,9 @@ val eval_word : t -> int array -> int array
     i-th primary input across patterns, one per bit. *)
 
 val random_pi_words : t -> Util.Rng.t -> int array
+
+val popcount : int -> int
+(** Number of set bits of a word, the sign bit included. *)
 
 val toggle_counts : t -> Util.Rng.t -> rounds:int -> int array * int
 (** Per-signal toggle counts over consecutive random patterns, and the

@@ -40,6 +40,26 @@ let test_comparator_paper () =
     (po.Masking.Synthesis.sigma = Bdd.of_cover ctx.Spcf.Ctx.man Comparator.paper_spcf);
   check "slack >= 20%" true (r.Masking.Verify.slack_pct >= 20.)
 
+(* Verify reads the original circuit's BDDs from the SPCF context instead
+   of elaborating them again: both are built in the same manager from the
+   same covers, so canonicity makes them the same handles. *)
+let test_verify_reuses_ctx_funcs () =
+  List.iter
+    (fun name ->
+      let m = Masking.Synthesis.synthesize (Suite.load name) in
+      let ctx = m.Masking.Synthesis.ctx in
+      let fresh =
+        Masking.Synthesis.bdds_in_man ctx.Spcf.Ctx.man
+          (Mapped.network m.Masking.Synthesis.original)
+      in
+      check (name ^ ": same signal count") true
+        (Array.length fresh = Array.length ctx.Spcf.Ctx.funcs);
+      Array.iteri
+        (fun s f ->
+          check (name ^ ": ctx.funcs handle") true (f == ctx.Spcf.Ctx.funcs.(s)))
+        fresh)
+    [ "C432"; "C880" ]
+
 let test_structural_indicator () =
   let options =
     { Masking.Synthesis.default_options with indicator = Masking.Synthesis.Structural }
@@ -183,6 +203,7 @@ let () =
           Alcotest.test_case "20% slack" `Slow test_slack_requirement;
           Alcotest.test_case "comparator (paper)" `Quick test_comparator_paper;
           Alcotest.test_case "random functional check" `Slow test_masked_functionality_random;
+          Alcotest.test_case "verify reuses ctx funcs" `Quick test_verify_reuses_ctx_funcs;
         ] );
       ( "options",
         [

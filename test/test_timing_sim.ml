@@ -75,24 +75,98 @@ let test_sta_monotone_arrival () =
 
 (* ---------- Bit-parallel simulation ---------- *)
 
-let test_bitsim_matches_eval () =
-  let net = Suite.load "x2" in
+(* Bit [b] of every input word is pattern [b], the sign bit included, so
+   bit [b] of every signal's word must be the scalar value on pattern [b]. *)
+let check_bitsim_bits name net rng =
   let sim = Bitsim.prepare net in
-  let rng = Util.Rng.create 11 in
-  for _ = 1 to 20 do
-    let words = Bitsim.random_pi_words sim rng in
+  for _ = 1 to 4 do
+    let words =
+      Array.map
+        (fun w -> if Util.Rng.bool rng then w lor min_int else w)
+        (Bitsim.random_pi_words sim rng)
+    in
     let values = Bitsim.eval_word sim words in
-    (* Check a handful of bit positions against scalar evaluation. *)
-    List.iter
-      (fun bit ->
-        let pattern = Array.map (fun w -> w lsr bit land 1 = 1) words in
-        let scalar = Network.eval net pattern in
-        Array.iteri
-          (fun s v ->
-            check "bitsim = eval" true ((values.(s) lsr bit land 1 = 1) = v))
-          scalar)
-      [ 0; 7; 31; 61 ]
+    for bit = 0 to Sys.int_size - 1 do
+      let scalar = Network.eval net (Array.map (fun w -> w lsr bit land 1 = 1) words) in
+      Array.iteri
+        (fun s v ->
+          if values.(s) lsr bit land 1 = 1 <> v then
+            Alcotest.failf "%s: signal %s bit %d: bitsim=%b eval=%b" name
+              (Network.name_of net s) bit (not v) v)
+        scalar
+    done
   done
+
+(* Constant, empty and tautological covers, zero- and one-input gates,
+   duplicate fanins and an output aliasing a primary input. *)
+let corner_network () =
+  let net = Network.create () in
+  let a = Network.add_input net "a" and b = Network.add_input net "b" in
+  let cover n cubes = Logic2.Cover.of_cubes n (List.map (Logic2.Cube.make n) cubes) in
+  let add name fanins func = Network.add_node net name ~fanins ~func in
+  let gates =
+    [
+      add "zero" [| a |] (Logic2.Cover.zero 1);
+      add "one" [| a |] (Logic2.Cover.one 1);
+      add "zero0" [||] (Logic2.Cover.zero 0);
+      add "one0" [||] (Logic2.Cover.one 0);
+      add "taut" [| b |] (cover 1 [ [ (0, true) ]; [ (0, false) ] ]);
+      add "inv" [| b |] (cover 1 [ [ (0, false) ] ]);
+      add "dup" [| a; a |]
+        (cover 2 [ [ (0, true); (1, false) ]; [ (0, true); (1, true) ] ]);
+      add "xor_dup" [| a; b; a |]
+        (cover 3 [ [ (0, true); (1, false) ]; [ (1, true); (2, false) ] ]);
+    ]
+  in
+  Network.mark_output net ~name:"pa" a;
+  List.iteri (fun i s -> Network.mark_output net ~name:(Printf.sprintf "po%d" i) s) gates;
+  net
+
+let test_bitsim_matches_eval () =
+  let rng = Util.Rng.create 11 in
+  check_bitsim_bits "x2" (Suite.load "x2") rng;
+  List.iter
+    (fun name ->
+      let net = Mapped.network (Mapper.map (Suite.load name)) in
+      check_bitsim_bits (name ^ " mapped") net rng)
+    [ "x2"; "C432"; "C880" ];
+  check_bitsim_bits "corners" (corner_network ()) rng;
+  let frng = Fuzz.Rng.create ~seed:5 in
+  for i = 1 to 100 do
+    check_bitsim_bits (Printf.sprintf "fuzz specimen %d" i)
+      (Fuzz.Gen.network (Fuzz.Gen.generate frng))
+      rng
+  done
+
+let test_popcount () =
+  let naive w =
+    let c = ref 0 in
+    for b = 0 to Sys.int_size - 1 do
+      if w lsr b land 1 = 1 then incr c
+    done;
+    !c
+  in
+  check_int "0" 0 (Bitsim.popcount 0);
+  check_int "-1" Sys.int_size (Bitsim.popcount (-1));
+  check_int "max_int" (Sys.int_size - 1) (Bitsim.popcount max_int);
+  check_int "min_int" 1 (Bitsim.popcount min_int);
+  let rng = Util.Rng.create 13 in
+  for _ = 1 to 1000 do
+    let w = (Util.Rng.int rng (1 lsl 31) lsl 32) lxor Util.Rng.int rng (1 lsl 32) in
+    let w = if Util.Rng.bool rng then w lor min_int else w in
+    check_int "random word" (naive w) (Bitsim.popcount w)
+  done
+
+(* Golden power totals, exact to the last bit: they hold only while the
+   simulated words, the draw order of the pattern generator and the
+   toggle counting all stay as they are. *)
+let test_power_golden () =
+  List.iter
+    (fun (name, expected) ->
+      let mc = Mapper.map (Suite.load name) in
+      let total = Power.total ~rounds:128 mc in
+      Alcotest.(check string) name expected (Printf.sprintf "%h" total))
+    [ ("C432", "0x1.6106eb273c4dap+7"); ("alu4", "0x1.6cb916ed712ebp+9") ]
 
 let test_power_report () =
   let net = Suite.load "i1" in
@@ -201,6 +275,8 @@ let () =
         [
           Alcotest.test_case "matches eval" `Quick test_bitsim_matches_eval;
           Alcotest.test_case "power report" `Quick test_power_report;
+          Alcotest.test_case "popcount" `Quick test_popcount;
+          Alcotest.test_case "power golden" `Quick test_power_golden;
         ] );
       ( "tsim",
         [
