@@ -98,16 +98,17 @@ let pos_float_conv what =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the per-output SPCF fan-out (default: \\$(b,EMASK_JOBS), \
-     else the recommended domain count, capped at 8). Results are identical for \
-     every N; only runtime changes."
+    "For $(b,serve): worker domains, i.e. how many requests run at once \
+     (default: $(b,EMASK_JOBS), else the recommended domain count, capped at \
+     8). Elsewhere accepted for compatibility: N is validated and recorded in \
+     the ledger and eco JSON, but every analysis runs on one domain."
   in
   Arg.(
     value
     & opt (some (pos_int_conv "--jobs")) None
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let resolve_jobs = function Some n -> n | None -> Spcf.Parallel.auto_jobs ()
+let resolve_jobs = function Some n -> n | None -> Serve.auto_jobs ()
 
 (* --- resource budgets --------------------------------------------------- *)
 

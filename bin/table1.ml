@@ -9,7 +9,7 @@
    the table — diffable against BENCH_*.json trajectories.
 
    With `--trace FILE`, a Chrome/Perfetto timeline of the whole table
-   regeneration (one row per worker domain under --jobs) is written.
+   regeneration is written.
    Combining it with --stats-json truncates the timeline: the sidecar
    isolates each algorithm run in a fresh registry, which also clears
    the trace buffer. *)
@@ -54,7 +54,7 @@ let snapshot_after ~collect f =
   end
   else (f (), None)
 
-let run_row ~collect ~jobs ~spec entry =
+let run_row ~collect ~spec entry =
   let name = entry.Suite.ename in
   let net = Suite.network entry in
   (* Pre-flight: reject a malformed circuit with a one-line summary
@@ -73,7 +73,7 @@ let run_row ~collect ~jobs ~spec entry =
           | `Path -> Spcf.Governed.Path_based
           | `Short -> Spcf.Governed.Short_path
         in
-        Spcf.Governed.compute ~jobs ~spec ~algorithm ~theta:0.9 mc)
+        Spcf.Governed.compute ~spec ~algorithm ~theta:0.9 mc)
   in
   let on, stats_n = run `Node in
   let op, stats_p = run `Path in
@@ -89,7 +89,7 @@ let run_row ~collect ~jobs ~spec entry =
       (fun (o : Spcf.Governed.outcome) -> o.Spcf.Governed.tier <> Spcf.Governed.Exact)
       [ on; op; os ]
   in
-  (* Exactness cross-checks (computed on one shared manager). When any
+  (* Exactness cross-checks (computed in one common manager). When any
      algorithm degraded under the budget, the cross-check is moot (and
      would itself exceed the same walls), so it is skipped — visibly. *)
   let exactness =
@@ -150,24 +150,6 @@ let flag_value flag =
 let stats_json_path () = flag_value "--stats-json"
 let trace_path () = flag_value "--trace"
 
-(* `--jobs N` (default: EMASK_JOBS, else the
-   recommended domain count capped at 8) fans the short-path and
-   path-based SPCF computations out over N domains; counts are
-   unaffected (see Spcf.Parallel), only runtimes change. A malformed
-   or non-positive N is an argument error, not a silent fallback. *)
-let jobs_arg () =
-  let rec scan i =
-    if i >= Array.length Sys.argv then Spcf.Parallel.auto_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ ->
-        cli_error "CLI002"
-          (Printf.sprintf "--jobs must be a positive integer, got %S" Sys.argv.(i + 1))
-    else scan (i + 1)
-  in
-  scan 1
-
 (* `--timeout SEC` / `--max-nodes N` (flags win over the EMASK_BUDGET
    environment variables): each per-algorithm run degrades down the
    governed ladder instead of running away; degraded counts are starred
@@ -205,7 +187,6 @@ let () =
   guarded @@ fun () ->
   let sidecar = stats_json_path () in
   let trace = trace_path () in
-  let jobs = jobs_arg () in
   let spec = budget_spec () in
   if sidecar <> None then Obs.set_enabled true;
   if trace <> None then begin
@@ -228,7 +209,7 @@ let () =
   let any_degraded = ref false in
   List.iter
     (fun entry ->
-      let r, stats = run_row ~collect ~jobs ~spec entry in
+      let r, stats = run_row ~collect ~spec entry in
       if stats <> [] then
         all_stats := (r.name, Obs_json.Obj stats) :: !all_stats;
       if

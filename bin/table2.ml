@@ -36,24 +36,6 @@ let flag_value flag =
 let stats_json_path () = flag_value "--stats-json"
 let trace_path () = flag_value "--trace"
 
-(* `--jobs N` (default: EMASK_JOBS, else the
-   recommended domain count capped at 8) fans the SPCF stage of each
-   synthesis out over N domains. The printed table is byte-identical for
-   every N: the parallel driver merges function-identical BDDs in
-   deterministic output order. *)
-let jobs_arg () =
-  let rec scan i =
-    if i >= Array.length Sys.argv then Spcf.Parallel.auto_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ ->
-        cli_error "CLI002"
-          (Printf.sprintf "--jobs must be a positive integer, got %S" Sys.argv.(i + 1))
-    else scan (i + 1)
-  in
-  scan 1
-
 (* `--timeout SEC` / `--max-nodes N` (flags win over the EMASK_BUDGET
    environment variables): each synthesis degrades down the governed
    ladder (exact, node-based, always-on) instead of running away;
@@ -91,7 +73,6 @@ let () =
   guarded @@ fun () ->
   let sidecar = stats_json_path () in
   let trace = trace_path () in
-  let jobs = jobs_arg () in
   let budget = budget_spec () in
   if sidecar <> None then Obs.set_enabled true;
   if trace <> None then begin
@@ -120,7 +101,7 @@ let () =
          instead of failing deep inside synthesis. *)
       Analysis.Lint.gate ~what:entry.Suite.ename (Analysis.Lint.preflight net);
       if collect then Obs.reset ();
-      let options = { Masking.Synthesis.default_options with jobs; budget } in
+      let options = { Masking.Synthesis.default_options with budget } in
       let m = Masking.Synthesis.synthesize ~options net in
       if m.Masking.Synthesis.tier <> Spcf.Governed.Exact then
         degraded :=

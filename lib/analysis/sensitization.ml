@@ -62,7 +62,6 @@ type report = {
   delta : float;
   model : Sta.delay_model;
   truncated : bool;
-  jobs : int;
   paths : classified list;  (** in {!Paths.enumerate} order *)
   summaries : summary list;  (** every primary output, declaration order *)
   functional_delta : float;  (** max over the per-output bounds *)
@@ -246,7 +245,7 @@ let summarize sta net ~target ~truncated classified =
            functional;
          })
 
-let make_report ctx ~jobs enum classified =
+let make_report ctx enum classified =
   let sta = ctx.Spcf.Ctx.sta in
   let net = Spcf.Ctx.network ctx in
   let summaries =
@@ -259,17 +258,16 @@ let make_report ctx ~jobs enum classified =
     delta = Sta.delta sta;
     model = ctx.Spcf.Ctx.model;
     truncated = enum.Paths.truncated;
-    jobs;
     paths = classified;
     summaries;
     functional_delta =
       List.fold_left (fun acc s -> Float.max acc s.functional) 0. summaries;
   }
 
-(* Classify an explicit path subset sequentially with one shared
-   Boolean-difference cache — the incremental/ECO integration point:
-   [Eco.recompute] reuses verdicts for paths whose cone is clean and
-   hands only the stale remainder here. *)
+(* Classify paths in order with one shared Boolean-difference cache.
+   Also the incremental/ECO integration point: [Eco.recompute] reuses
+   verdicts for paths whose cone is clean and hands only the stale
+   remainder here. *)
 let classify_paths ctx paths =
   let net = Spcf.Ctx.network ctx in
   let npis = Array.length (Network.inputs net) in
@@ -278,55 +276,15 @@ let classify_paths ctx paths =
 
 let assemble = make_report
 
-let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ?jobs ctx =
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
+let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ctx =
   Obs.enter "sens.analyze";
   Fun.protect ~finally:Obs.leave (fun () ->
       let enum = Paths.enumerate ~band ~max_paths ctx.Spcf.Ctx.sta in
-      let net = Spcf.Ctx.network ctx in
-      let npis = Array.length (Network.inputs net) in
-      let parr = Array.of_list enum.Paths.paths in
-      let n = Array.length parr in
-      (* A sequential manager is not safe to grow from worker domains:
-         parallel classification requires a shared-manager context. *)
-      let k = if Bdd.is_shared ctx.Spcf.Ctx.man then min jobs (max n 1) else 1 in
-      let classified =
-        if k <= 1 then begin
-          let cache = Hashtbl.create 64 in
-          Array.to_list (Array.map (classify_one ~cache ctx ~npis) parr)
-        end
-        else begin
-          Spcf.Ctx.prewarm_primes ctx;
-          (* Round-robin chunks, results re-interleaved into path
-             order: verdicts are a per-path pure function, so the
-             merged list is byte-identical for every [jobs]. Workers
-             never return [Error] — budget exhaustion is a per-path
-             [Unknown] verdict, not a team failure. *)
-          let worker j =
-            let cache = Hashtbl.create 64 in
-            let out = ref [] and i = ref j in
-            while !i < n do
-              out := classify_one ~cache ctx ~npis parr.(!i) :: !out;
-              i := !i + k
-            done;
-            Ok (List.rev !out)
-          in
-          Spcf.Parallel.fanout ~k ~worker ~commit:(fun per_domain ->
-              let merged = Array.make n None in
-              Array.iteri
-                (fun j lst ->
-                  List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) lst)
-                per_domain;
-              Array.to_list merged
-              |> List.map (function Some r -> r | None -> assert false))
-        end
-      in
-      make_report ctx ~jobs enum classified)
+      make_report ctx enum (classify_paths ctx enum.Paths.paths))
 
-let analyze ?model ?(band = 0.1) ?(max_paths = 4096) ?jobs ?budget circuit =
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  match Spcf.Ctx.create ?model ?budget ~shared:(jobs > 1) circuit with
-  | ctx -> analyze_ctx ~band ~max_paths ~jobs ctx
+let analyze ?model ?(band = 0.1) ?(max_paths = 4096) ?budget circuit =
+  match Spcf.Ctx.create ?model ?budget circuit with
+  | ctx -> analyze_ctx ~band ~max_paths ctx
   | exception Budget.Budget_exceeded r ->
     (* The budget died while the context built the circuit's BDDs:
        no verdict can be computed, but the topological enumeration is
@@ -351,7 +309,6 @@ let analyze ?model ?(band = 0.1) ?(max_paths = 4096) ?jobs ?budget circuit =
       delta = Sta.delta sta;
       model = Sta.model sta;
       truncated = enum.Paths.truncated;
-      jobs;
       paths = classified;
       summaries;
       functional_delta =

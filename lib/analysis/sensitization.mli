@@ -9,10 +9,9 @@
     sensitizes the path), or [Unknown] (the budget governor ran out;
     sound — consumers must treat the path as possibly sensitizable).
 
-    Verdicts are a pure per-path function of the circuit, so reports
-    are byte-identical for every [jobs] value under an unlimited
-    budget; under a finite budget only the [True]/[False] → [Unknown]
-    frontier may shift.
+    Verdicts are a pure per-path function of the circuit; under a
+    finite budget only the [True]/[False] → [Unknown] frontier may
+    shift.
 
     Static sensitization is optimistic for floating-mode delay: a
     statically-false path can still carry a transition under
@@ -49,7 +48,6 @@ type report = {
   delta : float;
   model : Sta.delay_model;
   truncated : bool;
-  jobs : int;
   paths : classified list;  (** in {!Paths.enumerate} order *)
   summaries : summary list;  (** every primary output, declaration order *)
   functional_delta : float;  (** max over the per-output bounds *)
@@ -59,22 +57,17 @@ val analyze :
   ?model:Sta.delay_model ->
   ?band:float ->
   ?max_paths:int ->
-  ?jobs:int ->
   ?budget:Budget.t ->
   Mapped.t ->
   report
 (** Build a context and classify. [band] defaults to [0.1],
-    [max_paths] to [4096], [jobs] to [1]; [jobs > 1] builds a
-    shared-manager context and fans classification across domains via
-    [Spcf.Parallel]. Budget exhaustion never escapes: a path whose
+    [max_paths] to [4096]. Budget exhaustion never escapes: a path whose
     classification runs out is [Unknown], and if the budget dies while
     the circuit's BDDs are built, every path is [Unknown]. Raises
     [Invalid_argument] on [band] outside [[0, 1]] or [max_paths < 1]. *)
 
-val analyze_ctx : ?band:float -> ?max_paths:int -> ?jobs:int -> Spcf.Ctx.t -> report
-(** Same over an existing context (the synthesis integration point).
-    [jobs > 1] requires a shared-manager context and is clamped to [1]
-    otherwise. *)
+val analyze_ctx : ?band:float -> ?max_paths:int -> Spcf.Ctx.t -> report
+(** Same over an existing context (the synthesis integration point). *)
 
 val classify_paths : Spcf.Ctx.t -> Paths.path list -> classified list
 (** Classify an explicit path subset sequentially (one shared
@@ -82,7 +75,7 @@ val classify_paths : Spcf.Ctx.t -> Paths.path list -> classified list
     integration point: [Eco.recompute] reuses verdicts for paths whose
     fanin cone is untouched and classifies only the stale remainder. *)
 
-val assemble : Spcf.Ctx.t -> jobs:int -> Paths.t -> classified list -> report
+val assemble : Spcf.Ctx.t -> Paths.t -> classified list -> report
 (** Build a {!report} from an enumeration and its classified paths
     (which must be in {!Paths.enumerate} order). *)
 

@@ -2,32 +2,13 @@
    table and an ite computed-table, per manager. Node handles are ints;
    0 and 1 are the terminals. Variables are 0 .. nvars-1 in fixed order.
 
-   A manager has one of two storage backends (see DESIGN.md §8 and §13):
-
-   - [Seq] — the single-domain backend: flat int arrays for the node
-     store, an open-addressing unique table with linear probing, and a
-     lossy direct-mapped ite cache with packed keys. This is exactly
-     the pre-concurrency code path: no atomics, no locks, no
-     indirection on the hot path.
-
-   - [Shr] — the shared-memory backend ([create_shared]): one unique
-     table that several domains grow concurrently. The node store is a
-     preallocated spine of stride-3 chunks (var/low/high adjacent for
-     cache locality); node ids are claimed from an atomic counter, so
-     handles never move once published. The unique table is striped:
-     64 independent open-addressing sub-tables, each with its own
-     mutex, selected by high hash bits. Lookups are lock-free (slots
-     are [int Atomic.t]; an acquire read of a published slot makes the
-     node's plain fields visible — the slot-publication protocol of
-     DESIGN.md §13); inserts take the stripe lock, re-probe, claim an
-     id, write the fields, and only then publish the slot with a
-     release store. Stripe growth is cooperative: the lock holder
-     partitions the old table into segments and any domain that
-     arrives at the busy stripe helps copy segments, CAS-ing node ids
-     into the new table. The ite computed cache stays per-domain
-     (Domain.DLS) so the ~90% hit path never touches shared cache
-     lines; [clear_caches] bumps a global generation that orphans
-     every domain's entries at their next ite call. *)
+   Storage (see DESIGN.md §8): flat int arrays for the node store, an
+   open-addressing unique table with linear probing, and a lossy
+   direct-mapped ite cache with packed keys — no atomics, no locks, no
+   indirection on the hot path. A manager belongs to one domain at a
+   time; callers that hand one across domains (the serve daemon's eco
+   baselines) serialize every use behind a mutex, which also gives the
+   happens-before the plain arrays need. *)
 
 type t = int
 
@@ -47,12 +28,6 @@ let c_unique_rehash = Obs.counter "bdd.unique.rehash_events"
 let c_grow = Obs.counter "bdd.grow_events"
 let c_nodes_max = Obs.counter "bdd.nodes.max"
 
-(* Contention probes for the shared backend. *)
-let c_stripe_waits = Obs.counter "bdd.shared.stripe_waits"
-let c_insert_races = Obs.counter "bdd.shared.insert_races"
-let c_cas_retries = Obs.counter "bdd.shared.cas_retries"
-let c_rehash_coop = Obs.counter "bdd.shared.rehash_coop"
-
 (* Integer mix of a (var, low, high) triple: three odd multipliers from
    the murmur3/splitmix64 finalizers, then a 64-bit avalanche. The
    result may be negative; callers mask with [land] (the mask is
@@ -63,9 +38,8 @@ let[@inline] mix3 a b c =
   let h = h * 0x27D4EB2F165667C5 in
   h lxor (h lsr 32)
 
-(* ---------- sequential backend ---------- *)
-
-type seq = {
+type man = {
+  nvars : int;
   mutable var : int array; (* variable label per node; nvars for terminals *)
   mutable low : int array;
   mutable high : int array;
@@ -80,57 +54,9 @@ type seq = {
   mutable cmask : int;
   mutable cgen : int; (* generation tag, < 2^30 *)
   cache_fixed : bool; (* explicit ~cache_bits: never resize (tests) *)
-}
-
-(* ---------- shared backend ---------- *)
-
-(* Node storage: [chunk_nodes] nodes per chunk, stride 3 (var, low,
-   high adjacent). The spine is preallocated for the 2^30 ceiling, so
-   growth never moves a published node. *)
-let chunk_bits = 16
-let chunk_nodes = 1 lsl chunk_bits
-let chunk_mask = chunk_nodes - 1
-let nstripes = 64
-
-(* Old-table entries per cooperative-rehash segment. *)
-let seg_entries = 512
-
-type rehash = {
-  r_src : int Atomic.t array;
-  r_dst : int Atomic.t array;
-  r_next_seg : int Atomic.t; (* next segment index to claim *)
-  r_done_segs : int Atomic.t; (* segments fully copied *)
-  r_nsegs : int;
-}
-
-type stripe = {
-  st_lock : Mutex.t;
-  st_slots : int Atomic.t array Atomic.t;
-  mutable st_count : int; (* interned nodes; only touched under the lock *)
-  st_rehash : rehash option Atomic.t; (* active cooperative rehash, if any *)
-}
-
-type shr = {
-  uid : int; (* distinguishes managers in the per-domain cache *)
-  chunks : int array array; (* spine; plain writes published via [limit] *)
-  alloc_lock : Mutex.t;
-  limit : int Atomic.t; (* allocated node capacity (release store) *)
-  next : int Atomic.t; (* next node id to claim *)
-  stripes : stripe array;
-  sgen : int Atomic.t; (* shared ite-cache generation *)
-  s_cache_bits : int;
-}
-
-type backend = Seq of seq | Shr of shr
-
-type man = {
-  nvars : int;
-  tab : backend;
   mutable budget : Budget.t;
       (* resource governance; Budget.unlimited (the default) keeps the
-         hot paths to a single physical-equality test. In shared mode
-         the budget is installed before workers spawn and read-only
-         afterwards. *)
+         hot paths to a single physical-equality test *)
 }
 
 let cache_make bits =
@@ -138,16 +64,17 @@ let cache_make bits =
   (Array.make cap (-1), Array.make cap 0, Array.make cap 0, cap - 1)
 
 let default_cache_bits = 14
-let default_shared_cache_bits = 16
-let max_cache_bits = 20
 
-let check_cache_bits = function
-  | Some b when b < 1 || b > max_cache_bits -> invalid_arg "Bdd.create: cache_bits"
-  | _ -> ()
+(* The adaptive cache stops growing at 2^18 entries (6 MiB). A larger
+   ceiling bought no time on the suite and cost the serve daemon a
+   24 MiB cache per cached eco baseline (DESIGN.md §8). *)
+let max_cache_bits = 18
 
 let create ?cache_bits ~nvars () =
   if nvars < 0 then invalid_arg "Bdd.create: negative nvars";
-  check_cache_bits cache_bits;
+  (match cache_bits with
+  | Some b when b < 1 || b > max_cache_bits -> invalid_arg "Bdd.create: cache_bits"
+  | _ -> ());
   let cbits, cache_fixed =
     match cache_bits with None -> (default_cache_bits, false) | Some b -> (b, true)
   in
@@ -158,135 +85,56 @@ let create ?cache_bits ~nvars () =
   let ck1, ck2, cres, cmask = cache_make cbits in
   {
     nvars;
-    tab =
-      Seq
-        {
-          var;
-          low;
-          high;
-          n_nodes = 2;
-          utable = Array.make 4096 0;
-          umask = 4095;
-          ck1;
-          ck2;
-          cres;
-          cmask;
-          cgen = 0;
-          cache_fixed;
-        };
+    var;
+    low;
+    high;
+    n_nodes = 2;
+    utable = Array.make 4096 0;
+    umask = 4095;
+    ck1;
+    ck2;
+    cres;
+    cmask;
+    cgen = 0;
+    cache_fixed;
     budget = Budget.unlimited;
   }
-
-let shared_uid = Atomic.make 1
-
-let create_shared ?cache_bits ~nvars () =
-  if nvars < 0 then invalid_arg "Bdd.create_shared: negative nvars";
-  check_cache_bits cache_bits;
-  let cbits = Option.value cache_bits ~default:default_shared_cache_bits in
-  let chunks = Array.make (max_nodes lsr chunk_bits) [||] in
-  let c0 = Array.make (chunk_nodes * 3) 0 in
-  (* Terminals: var = nvars, children unused. *)
-  c0.(0) <- nvars;
-  c0.(3) <- nvars;
-  chunks.(0) <- c0;
-  let stripe () =
-    {
-      st_lock = Mutex.create ();
-      st_slots = Atomic.make (Array.init 64 (fun _ -> Atomic.make 0));
-      st_count = 0;
-      st_rehash = Atomic.make None;
-    }
-  in
-  {
-    nvars;
-    tab =
-      Shr
-        {
-          uid = Atomic.fetch_and_add shared_uid 1;
-          chunks;
-          alloc_lock = Mutex.create ();
-          limit = Atomic.make chunk_nodes;
-          next = Atomic.make 2;
-          stripes = Array.init nstripes (fun _ -> stripe ());
-          sgen = Atomic.make 0;
-          s_cache_bits = cbits;
-        };
-    budget = Budget.unlimited;
-  }
-
-let is_shared man = match man.tab with Seq _ -> false | Shr _ -> true
 
 let set_budget man b = man.budget <- b
 let budget man = man.budget
 
 let nvars man = man.nvars
+let num_nodes man = man.n_nodes
+let unique_capacity man = man.umask + 1
+let cache_capacity man = man.cmask + 1
 
-(* Shared-backend field access. A node id is only ever obtained through
-   an acquire (slot read, [limit] read, Domain.spawn/join), which makes
-   the plain chunk writes behind it visible — see DESIGN.md §13. *)
-let[@inline] sh_var h n =
-  Array.unsafe_get (Array.unsafe_get h.chunks (n lsr chunk_bits)) ((n land chunk_mask) * 3)
-
-let[@inline] sh_low h n =
-  Array.unsafe_get
-    (Array.unsafe_get h.chunks (n lsr chunk_bits))
-    (((n land chunk_mask) * 3) + 1)
-
-let[@inline] sh_high h n =
-  Array.unsafe_get
-    (Array.unsafe_get h.chunks (n lsr chunk_bits))
-    (((n land chunk_mask) * 3) + 2)
-
-let num_nodes man =
-  match man.tab with Seq s -> s.n_nodes | Shr h -> Atomic.get h.next
-
-let unique_capacity man =
-  match man.tab with
-  | Seq s -> s.umask + 1
-  | Shr h ->
-    Array.fold_left
-      (fun acc st -> acc + Array.length (Atomic.get st.st_slots))
-      0 h.stripes
-
-let cache_capacity man =
-  match man.tab with Seq s -> s.cmask + 1 | Shr h -> 1 lsl h.s_cache_bits
+let heap_words man =
+  (3 * Array.length man.var) + unique_capacity man + (3 * cache_capacity man)
 
 (* Invalidate every computed-table entry in O(1): entries carry the
    generation in their second key word, so bumping the tag orphans them.
    The generation wraps at 2^30 to keep the packing in range — after
    2^30 clears an ancient entry could in principle alias, which is
    indistinguishable from an ordinary cache collision given the entry
-   would also need matching keys. In shared mode the bump invalidates
-   every domain's cache at its next [ite] call. *)
-let clear_caches man =
-  match man.tab with
-  | Seq s -> s.cgen <- (s.cgen + 1) land (max_nodes - 1)
-  | Shr h -> Atomic.set h.sgen ((Atomic.get h.sgen + 1) land (max_nodes - 1))
+   would also need matching keys. *)
+let clear_caches man = man.cgen <- (man.cgen + 1) land (max_nodes - 1)
 
-let var_of man n =
-  match man.tab with Seq s -> s.var.(n) | Shr h -> sh_var h n
-
-let low_of man n = match man.tab with Seq s -> s.low.(n) | Shr h -> sh_low h n
-let high_of man n = match man.tab with Seq s -> s.high.(n) | Shr h -> sh_high h n
+let var_of man n = man.var.(n)
+let low_of man n = man.low.(n)
+let high_of man n = man.high.(n)
 let is_terminal n = n < 2
 
-(* Generic accessors for the cold (traversal) paths; the hot ite/mk
-   paths below are specialized per backend instead. *)
-let[@inline] ivar man n =
-  match man.tab with Seq s -> Array.unsafe_get s.var n | Shr h -> sh_var h n
+(* Unchecked accessors for the traversal paths. *)
+let[@inline] ivar man n = Array.unsafe_get man.var n
+let[@inline] ilow man n = Array.unsafe_get man.low n
+let[@inline] ihigh man n = Array.unsafe_get man.high n
 
-let[@inline] ilow man n =
-  match man.tab with Seq s -> Array.unsafe_get s.low n | Shr h -> sh_low h n
+(* ---------- mk / ite ---------- *)
 
-let[@inline] ihigh man n =
-  match man.tab with Seq s -> Array.unsafe_get s.high n | Shr h -> sh_high h n
-
-(* ---------- sequential mk / ite (the uncontended fast path) ---------- *)
-
-let grow_nodes s =
+let grow_nodes man =
   Obs.incr c_grow;
   Obs.instant "bdd.grow";
-  let cap = Array.length s.var in
+  let cap = Array.length man.var in
   if cap >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
   let cap' = cap * 2 in
   let extend a =
@@ -294,51 +142,51 @@ let grow_nodes s =
     Array.blit a 0 a' 0 cap;
     a'
   in
-  s.var <- extend s.var;
-  s.low <- extend s.low;
-  s.high <- extend s.high
+  man.var <- extend man.var;
+  man.low <- extend man.low;
+  man.high <- extend man.high
 
 (* Double the unique table and reinsert every interned node. Insertion
    scans for the first empty slot — no deletions ever happen, so there
    are no tombstones and every probe chain is a contiguous run. *)
-let unique_rehash s =
+let unique_rehash man =
   Obs.incr c_unique_rehash;
   Obs.instant "bdd.unique.rehash";
-  let mask' = ((s.umask + 1) * 2) - 1 in
+  let mask' = ((man.umask + 1) * 2) - 1 in
   let t' = Array.make (mask' + 1) 0 in
-  for n = 2 to s.n_nodes - 1 do
-    let i = ref (mix3 s.var.(n) s.low.(n) s.high.(n) land mask') in
+  for n = 2 to man.n_nodes - 1 do
+    let i = ref (mix3 man.var.(n) man.low.(n) man.high.(n) land mask') in
     while Array.unsafe_get t' !i <> 0 do
       i := (!i + 1) land mask'
     done;
     Array.unsafe_set t' !i n
   done;
-  s.utable <- t';
-  s.umask <- mask';
+  man.utable <- t';
+  man.umask <- mask';
   (* Let the lossy ite cache track the unique table up to a ceiling:
      dropping the resident entries is sound (it is a cache) and growth
      events are logarithmically rare, so there are no rehash storms. *)
-  if (not s.cache_fixed) && s.cmask + 1 < 1 lsl max_cache_bits && s.cmask < mask'
+  if (not man.cache_fixed) && man.cmask + 1 < 1 lsl max_cache_bits && man.cmask < mask'
   then begin
     let bits =
       let rec bits_of n acc = if n <= 1 then acc else bits_of (n lsr 1) (acc + 1) in
       min max_cache_bits (bits_of (mask' + 1) 0)
     in
     let ck1, ck2, cres, cmask = cache_make bits in
-    s.ck1 <- ck1;
-    s.ck2 <- ck2;
-    s.cres <- cres;
-    s.cmask <- cmask
+    man.ck1 <- ck1;
+    man.ck2 <- ck2;
+    man.cres <- cres;
+    man.cmask <- cmask
   end
 
 (* Hash-consing find-or-insert. One probe sequence serves both the
    lookup and the insertion point: the first empty slot terminates an
    unsuccessful probe and is exactly where the new node id goes. *)
-let mk_seq man s v lo hi =
+let mk man v lo hi =
   if lo = hi then lo
   else begin
-    let table = s.utable and mask = s.umask in
-    let var = s.var and low = s.low and high = s.high in
+    let table = man.utable and mask = man.umask in
+    let var = man.var and low = man.low and high = man.high in
     let i = ref (mix3 v lo hi land mask) in
     let found = ref (-1) in
     let scanning = ref true in
@@ -361,25 +209,25 @@ let mk_seq man s v lo hi =
     end
     else begin
       Obs.incr c_unique_inserts;
-      if s.n_nodes >= Array.length s.var then grow_nodes s;
-      let n = s.n_nodes in
-      s.var.(n) <- v;
-      s.low.(n) <- lo;
-      s.high.(n) <- hi;
-      s.n_nodes <- n + 1;
+      if man.n_nodes >= Array.length man.var then grow_nodes man;
+      let n = man.n_nodes in
+      man.var.(n) <- v;
+      man.low.(n) <- lo;
+      man.high.(n) <- hi;
+      man.n_nodes <- n + 1;
       if man.budget != Budget.unlimited then Budget.check_nodes man.budget (n + 1);
       Obs.record_max c_nodes_max (n + 1);
       Array.unsafe_set table !i n;
-      if (s.n_nodes - 2) * 4 > (mask + 1) * 3 then unique_rehash s;
+      if (man.n_nodes - 2) * 4 > (mask + 1) * 3 then unique_rehash man;
       n
     end
   end
 
 (* Cofactors of [n] w.r.t. variable [v], assuming v <= var(n). *)
-let cofactors_seq s v n =
-  if s.var.(n) = v then (s.low.(n), s.high.(n)) else (n, n)
+let cofactors man v n =
+  if man.var.(n) = v then (man.low.(n), man.high.(n)) else (n, n)
 
-let rec ite_seq man s f g h =
+let rec ite man f g h =
   if f = btrue then g
   else if f = bfalse then h
   else if g = h then g
@@ -387,342 +235,30 @@ let rec ite_seq man s f g h =
   else begin
     Obs.incr c_ite_calls;
     if man.budget != Budget.unlimited then Budget.tick man.budget;
-    let k1 = (f lsl 31) lor g and k2 = (s.cgen lsl 31) lor h in
-    let slot = mix3 f g h land s.cmask in
-    if Array.unsafe_get s.ck1 slot = k1 && Array.unsafe_get s.ck2 slot = k2 then begin
+    let k1 = (f lsl 31) lor g and k2 = (man.cgen lsl 31) lor h in
+    let slot = mix3 f g h land man.cmask in
+    if Array.unsafe_get man.ck1 slot = k1 && Array.unsafe_get man.ck2 slot = k2 then begin
       Obs.incr c_ite_hits;
-      Array.unsafe_get s.cres slot
+      Array.unsafe_get man.cres slot
     end
     else begin
       Obs.incr c_ite_misses;
-      let v = min s.var.(f) (min s.var.(g) s.var.(h)) in
-      let f0, f1 = cofactors_seq s v f in
-      let g0, g1 = cofactors_seq s v g in
-      let h0, h1 = cofactors_seq s v h in
-      let r1 = ite_seq man s f1 g1 h1 in
-      let r0 = ite_seq man s f0 g0 h0 in
-      let r = mk_seq man s v r0 r1 in
+      let v = min man.var.(f) (min man.var.(g) man.var.(h)) in
+      let f0, f1 = cofactors man v f in
+      let g0, g1 = cofactors man v g in
+      let h0, h1 = cofactors man v h in
+      let r1 = ite man f1 g1 h1 in
+      let r0 = ite man f0 g0 h0 in
+      let r = mk man v r0 r1 in
       (* The cache may have been resized during the recursion: recompute
          the slot against the current mask before storing. *)
-      let slot = mix3 f g h land s.cmask in
-      s.ck1.(slot) <- k1;
-      s.ck2.(slot) <- k2;
-      s.cres.(slot) <- r;
+      let slot = mix3 f g h land man.cmask in
+      man.ck1.(slot) <- k1;
+      man.ck2.(slot) <- k2;
+      man.cres.(slot) <- r;
       r
     end
   end
-
-(* ---------- shared mk: striped table, cooperative rehash ---------- *)
-
-(* Copy the claimed segments of a live rehash into the destination
-   table. Called by the stripe-lock holder and by any domain that finds
-   the stripe busy: segments are claimed from an atomic counter, and
-   ids are CAS-ed into the destination so two helpers can never
-   double-fill a slot. No lock is held by helpers, so helping never
-   deadlocks. *)
-(* Insert node id [n] into rehash destination [dst]: probe from its
-   hash; stop as soon as some copier is seen to have placed [n]
-   already. Cells only ever go 0 -> id, and [n] always lands at the
-   first cell that was empty in its probe order, so a later walk for
-   the same [n] must encounter it before any empty cell — which makes
-   the copy idempotent and lets two copiers cover the same range. *)
-let sh_rehash_insert h dst dmask n =
-  let hh = mix3 (sh_var h n) (sh_low h n) (sh_high h n) in
-  let rec ins j =
-    let cell = Array.unsafe_get dst j in
-    let v = Atomic.get cell in
-    if v = n then ()
-    else if v = 0 then begin
-      if not (Atomic.compare_and_set cell 0 n) then begin
-        Obs.incr c_cas_retries;
-        (* Re-examine the same cell: the winning writer may have
-           published exactly [n]. *)
-        ins j
-      end
-    end
-    else ins ((j + 1) land dmask)
-  in
-  ins (hh land dmask)
-
-let sh_copy_range h (r : rehash) lo hi =
-  let dst = r.r_dst in
-  let dmask = Array.length dst - 1 in
-  for i = lo to hi do
-    let n = Atomic.get (Array.unsafe_get r.r_src i) in
-    if n <> 0 then sh_rehash_insert h dst dmask n
-  done
-
-let sh_rehash_work h (r : rehash) =
-  let seg_len = Array.length r.r_src / r.r_nsegs in
-  let rec claim () =
-    let seg = Atomic.fetch_and_add r.r_next_seg 1 in
-    if seg < r.r_nsegs then begin
-      let base = seg * seg_len in
-      sh_copy_range h r base (base + seg_len - 1);
-      ignore (Atomic.fetch_and_add r.r_done_segs 1 : int);
-      claim ()
-    end
-  in
-  claim ()
-
-(* Grow one stripe. The caller holds the stripe lock, so no new ids can
-   be published into the source table; lock-free readers may keep
-   probing it until the swap, which is safe (they either hit a
-   published node or fall through to the locked path). Completeness of
-   the copy before the swap does NOT wait on helpers: a helper that
-   claimed a segment and was then descheduled must not stall the
-   grower — on an oversubscribed machine, spinning here burns the very
-   timeslice that helper needs to finish. Instead, if any claimed
-   segment is still unfinished after the grower's own claim loop, the
-   grower redoes the whole copy (idempotent, see [sh_rehash_insert])
-   and swaps; the stalled helper's remaining walk is a no-op against
-   the live table, because every id it would insert is already
-   present. Per-cell visibility needs no extra ceremony: node fields
-   are published before an id ever enters any table, and each slot is
-   its own release/acquire pair. *)
-let sh_grow_stripe h st =
-  Obs.incr c_unique_rehash;
-  Obs.instant "bdd.unique.rehash";
-  let src = Atomic.get st.st_slots in
-  let cap = Array.length src in
-  let dst = Array.init (cap * 2) (fun _ -> Atomic.make 0) in
-  let nsegs = if cap <= seg_entries then 1 else cap / seg_entries in
-  let r =
-    {
-      r_src = src;
-      r_dst = dst;
-      r_next_seg = Atomic.make 0;
-      r_done_segs = Atomic.make 0;
-      r_nsegs = nsegs;
-    }
-  in
-  Atomic.set st.st_rehash (Some r);
-  sh_rehash_work h r;
-  if Atomic.get r.r_done_segs < nsegs then sh_copy_range h r 0 (cap - 1);
-  Atomic.set st.st_slots dst;
-  Atomic.set st.st_rehash None
-
-(* Take the stripe lock; if it is contended, spend the wait helping an
-   in-flight rehash of the same stripe instead of just blocking. *)
-let sh_lock_stripe h st =
-  if not (Mutex.try_lock st.st_lock) then begin
-    Obs.incr c_stripe_waits;
-    (match Atomic.get st.st_rehash with
-    | Some r ->
-      Obs.incr c_rehash_coop;
-      sh_rehash_work h r
-    | None -> ());
-    Mutex.lock st.st_lock
-  end
-
-(* Make node id [id] addressable: allocate chunks up to it. Only the
-   claiming inserter calls this, under the allocation lock; the
-   release store to [limit] publishes the fresh chunk. *)
-let sh_ensure h id =
-  if id >= Atomic.get h.limit then begin
-    Mutex.lock h.alloc_lock;
-    while id >= Atomic.get h.limit do
-      let lim = Atomic.get h.limit in
-      Obs.incr c_grow;
-      Obs.instant "bdd.grow";
-      h.chunks.(lim lsr chunk_bits) <- Array.make (chunk_nodes * 3) 0;
-      Atomic.set h.limit (lim + chunk_nodes)
-    done;
-    Mutex.unlock h.alloc_lock
-  end
-
-let[@inline] sh_stripe_of h hash =
-  Array.unsafe_get h.stripes ((hash lsr 45) land (nstripes - 1))
-
-(* Find-or-insert under the stripe lock. The probe runs on the current
-   table (a rehash may have swapped it since the lock-free attempt). *)
-let sh_insert_locked man h st hash v lo hi =
-  let tab = Atomic.get st.st_slots in
-  let mask = Array.length tab - 1 in
-  let rec probe i =
-    let cell = Array.unsafe_get tab i in
-    let n = Atomic.get cell in
-    if n = 0 then begin
-      let id = Atomic.fetch_and_add h.next 1 in
-      if id >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
-      if man.budget != Budget.unlimited then Budget.check_nodes man.budget (id + 1);
-      sh_ensure h id;
-      let chunk = Array.unsafe_get h.chunks (id lsr chunk_bits) in
-      let base = (id land chunk_mask) * 3 in
-      Array.unsafe_set chunk base v;
-      Array.unsafe_set chunk (base + 1) lo;
-      Array.unsafe_set chunk (base + 2) hi;
-      Obs.incr c_unique_inserts;
-      Obs.record_max c_nodes_max (id + 1);
-      (* Publication point: after this release store any domain that
-         reads the slot sees the fields written above. *)
-      Atomic.set cell id;
-      st.st_count <- st.st_count + 1;
-      if st.st_count * 4 > (mask + 1) * 3 then sh_grow_stripe h st;
-      id
-    end
-    else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then begin
-      (* Another domain interned the same triple between our lock-free
-         miss and the lock acquisition. *)
-      Obs.incr c_unique_hits;
-      Obs.incr c_insert_races;
-      n
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (hash land mask)
-
-let mk_shr man h v lo hi =
-  if lo = hi then lo
-  else begin
-    let hash = mix3 v lo hi in
-    let st = sh_stripe_of h hash in
-    (* Lock-free probe on the current table. A concurrent rehash can
-       leave us scanning the superseded table; that only ever produces
-       a miss (never a wrong hit — published nodes are immutable), and
-       the locked path below re-probes the live table. *)
-    let tab = Atomic.get st.st_slots in
-    let mask = Array.length tab - 1 in
-    let rec probe i =
-      let n = Atomic.get (Array.unsafe_get tab i) in
-      if n = 0 then -1
-      else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then n
-      else probe ((i + 1) land mask)
-    in
-    let n = probe (hash land mask) in
-    if n > 0 then begin
-      Obs.incr c_unique_hits;
-      n
-    end
-    else begin
-      sh_lock_stripe h st;
-      match sh_insert_locked man h st hash v lo hi with
-      | id ->
-        Mutex.unlock st.st_lock;
-        id
-      | exception e ->
-        (* Budget exhaustion must not leave the stripe locked: other
-           workers still drain their cancellation through [mk]. *)
-        Mutex.unlock st.st_lock;
-        raise e
-    end
-  end
-
-(* ---------- per-domain ite cache (shared backend) ---------- *)
-
-(* One direct-mapped cache per domain, reused across shared managers:
-   acquiring it for a different manager (or an incompatible size)
-   clears or reallocates it. Keys pack exactly as in the sequential
-   cache; -1 in ck1 never matches a real key (f >= 2).
-
-   The cache starts small and doubles toward the configured
-   2^s_cache_bits as the domain accumulates misses: worker domains are
-   freshly spawned per parallel run, so a full-size up-front
-   allocation (megabytes, zeroed) would be a fixed per-domain tax paid
-   before any useful work — measurable milliseconds per worker —
-   while short-lived workers never profit from the full size. *)
-type dcache = {
-  mutable d_owner : int; (* shr uid; 0 = unowned *)
-  mutable d_ck1 : int array;
-  mutable d_ck2 : int array;
-  mutable d_cres : int array;
-  mutable d_cmask : int;
-  mutable d_misses : int; (* since the last (re)size *)
-}
-
-let dcache_initial_bits = 12
-
-let dcache_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        d_owner = 0;
-        d_ck1 = [||];
-        d_ck2 = [||];
-        d_cres = [||];
-        d_cmask = -1;
-        d_misses = 0;
-      })
-
-let dcache_alloc c cap =
-  c.d_ck1 <- Array.make cap (-1);
-  c.d_ck2 <- Array.make cap 0;
-  c.d_cres <- Array.make cap 0;
-  c.d_cmask <- cap - 1;
-  c.d_misses <- 0
-
-let get_dcache h =
-  let c = Domain.DLS.get dcache_key in
-  let cap_limit = 1 lsl h.s_cache_bits in
-  if c.d_owner <> h.uid then begin
-    let have = c.d_cmask + 1 in
-    let floor_cap = 1 lsl (min h.s_cache_bits dcache_initial_bits) in
-    (* An existing array of acceptable size is kept (cleared), so a
-       domain alternating between managers does not thrash the
-       allocator. *)
-    if have >= floor_cap && have <= cap_limit then begin
-      Array.fill c.d_ck1 0 have (-1);
-      c.d_misses <- 0
-    end
-    else dcache_alloc c floor_cap;
-    c.d_owner <- h.uid
-  end
-  else if c.d_misses > (c.d_cmask + 1) * 2 && c.d_cmask + 1 < cap_limit then
-    (* Grow between top-level calls only: ite_shr computes each slot
-       against the mask it reads, so the cache must not resize while a
-       recursion is in flight. Entries are dropped, not rehashed — it
-       is a cache. *)
-    dcache_alloc c ((c.d_cmask + 1) * 2);
-  c
-
-let rec ite_shr man h c gen f g hh =
-  if f = btrue then g
-  else if f = bfalse then hh
-  else if g = hh then g
-  else if g = btrue && hh = bfalse then f
-  else begin
-    Obs.incr c_ite_calls;
-    if man.budget != Budget.unlimited then Budget.tick man.budget;
-    let k1 = (f lsl 31) lor g and k2 = (gen lsl 31) lor hh in
-    let slot = mix3 f g hh land c.d_cmask in
-    if Array.unsafe_get c.d_ck1 slot = k1 && Array.unsafe_get c.d_ck2 slot = k2
-    then begin
-      Obs.incr c_ite_hits;
-      Array.unsafe_get c.d_cres slot
-    end
-    else begin
-      Obs.incr c_ite_misses;
-      c.d_misses <- c.d_misses + 1;
-      let vf = sh_var h f and vg = sh_var h g and vh = sh_var h hh in
-      let v = min vf (min vg vh) in
-      let f0, f1 = if vf = v then (sh_low h f, sh_high h f) else (f, f) in
-      let g0, g1 = if vg = v then (sh_low h g, sh_high h g) else (g, g) in
-      let h0, h1 = if vh = v then (sh_low h hh, sh_high h hh) else (hh, hh) in
-      let r1 = ite_shr man h c gen f1 g1 h1 in
-      let r0 = ite_shr man h c gen f0 g0 h0 in
-      let r = mk_shr man h v r0 r1 in
-      (* The per-domain cache never resizes mid-call: the slot is
-         still valid here. *)
-      Array.unsafe_set c.d_ck1 slot k1;
-      Array.unsafe_set c.d_ck2 slot k2;
-      Array.unsafe_set c.d_cres slot r;
-      r
-    end
-  end
-
-(* ---------- public mk / ite ---------- *)
-
-let mk man v lo hi =
-  match man.tab with Seq s -> mk_seq man s v lo hi | Shr h -> mk_shr man h v lo hi
-
-let ite man f g h =
-  match man.tab with
-  | Seq s -> ite_seq man s f g h
-  | Shr hh ->
-    if f = btrue then g
-    else if f = bfalse then h
-    else if g = h then g
-    else if g = btrue && h = bfalse then f
-    else ite_shr man hh (get_dcache hh) (Atomic.get hh.sgen) f g h
 
 let var man v =
   if v < 0 || v >= man.nvars then invalid_arg "Bdd.var: out of range";
@@ -773,23 +309,10 @@ let eval_vec man f var_words =
   in
   go f
 
-(* Every published node, in id order. In shared mode this is meaningful
-   only at quiescence (no concurrent inserts): ids claimed but never
-   published (a budget raise between claim and field writes) read as
-   all-zero triples and are skipped via lo = hi, which no reduced node
-   can exhibit. *)
 let iter_nodes man fn =
-  match man.tab with
-  | Seq s ->
-    for n = 2 to s.n_nodes - 1 do
-      fn n s.var.(n) s.low.(n) s.high.(n)
-    done
-  | Shr h ->
-    let stop = Atomic.get h.next in
-    for n = 2 to stop - 1 do
-      let lo = sh_low h n and hi = sh_high h n in
-      if lo <> hi then fn n (sh_var h n) lo hi
-    done
+  for n = 2 to man.n_nodes - 1 do
+    fn n man.var.(n) man.low.(n) man.high.(n)
+  done
 
 let size man f =
   let seen = Hashtbl.create 64 in
@@ -961,3 +484,55 @@ let of_cube man cube =
 
 let of_cover man cover =
   cover_with man cover (Array.init man.nvars (fun v -> var man v))
+
+(* --- cross-manager transport -----------------------------------------
+
+   A BDD is exported as a postorder DAG over plain integers: ids 0/1 are
+   the terminals, internal node i (array index) has id i + 2, and
+   children always precede parents. The encoding depends only on the
+   function and the variable order, never on handle numbering, so it is
+   both the emask-eco/1 persistence format and a canonical
+   cross-manager comparison. Import replays the array bottom-up with
+   ite(var v, high, low) = the node (v, low, high), which re-canonizes
+   the function inside the destination manager. *)
+
+type dag = int array * int array * int array * int
+
+let export man root : dag =
+  if is_terminal root then ([||], [||], [||], root)
+  else begin
+    let ids : (t, int) Hashtbl.t = Hashtbl.create 256 in
+    let acc = ref [] and count = ref 0 in
+    (* Depth is bounded by the variable order (nvars), so plain
+       recursion is safe. *)
+    let rec walk n =
+      if (not (is_terminal n)) && not (Hashtbl.mem ids n) then begin
+        Hashtbl.add ids n (-1);
+        walk (low_of man n);
+        walk (high_of man n);
+        Hashtbl.replace ids n (!count + 2);
+        incr count;
+        acc := n :: !acc
+      end
+    in
+    walk root;
+    let nodes = Array.of_list (List.rev !acc) in
+    let id n = if is_terminal n then n else Hashtbl.find ids n in
+    ( Array.map (var_of man) nodes,
+      Array.map (fun n -> id (low_of man n)) nodes,
+      Array.map (fun n -> id (high_of man n)) nodes,
+      id root )
+  end
+
+let import man ((vars, lows, highs, root) : dag) =
+  if root = 0 then bfalse
+  else if root = 1 then btrue
+  else begin
+    let n = Array.length vars in
+    let handle = Array.make (n + 2) bfalse in
+    handle.(1) <- btrue;
+    for i = 0 to n - 1 do
+      handle.(i + 2) <- ite man (var man vars.(i)) handle.(highs.(i)) handle.(lows.(i))
+    done;
+    handle.(root)
+  end

@@ -1,5 +1,11 @@
 (** Reduced ordered BDDs. Handles are valid only with the manager that
-    created them; equal handles denote equal functions. *)
+    created them; equal handles denote equal functions.
+
+    A manager is a plain single-domain structure (flat node arrays, an
+    open-addressing unique table, a lossy ite cache). It may move
+    between domains, but two domains must never use it at the same
+    time: callers that share one (the serve daemon's cached eco
+    baselines) serialize every use behind a mutex. *)
 
 type t = private int
 type man
@@ -8,21 +14,11 @@ val bfalse : t
 val btrue : t
 
 val create : ?cache_bits:int -> nvars:int -> unit -> man
-(** [cache_bits] pins the ite computed-table to [2^cache_bits] entries
-    and disables its growth — useful for stress-testing eviction; the
-    default is an adaptive cache that tracks the unique table. *)
-
-val create_shared : ?cache_bits:int -> nvars:int -> unit -> man
-(** A manager whose unique table several domains may grow concurrently:
-    handles are stable once returned, equal triples intern to equal
-    handles across domains, and every operation of this interface is
-    safe to call from any domain. The ite computed cache is per-domain
-    ([Domain.DLS]): it starts at 2^12 entries and doubles with use up
-    to [2^cache_bits] (default 2^16), so freshly spawned worker
-    domains pay no up-front megabyte allocation. Single-domain use is
-    supported but slower than [create]; see DESIGN.md §13. *)
-
-val is_shared : man -> bool
+(** [cache_bits] (1 .. 18) pins the ite computed-table to
+    [2^cache_bits] entries and disables its growth — useful for
+    stress-testing eviction. The default is an adaptive cache that
+    starts at 2^14 entries and doubles with the unique table up to a
+    ceiling of 2^18. *)
 
 val nvars : man -> int
 val num_nodes : man -> int
@@ -33,6 +29,10 @@ val unique_capacity : man -> int
 
 val cache_capacity : man -> int
 (** Entries in the direct-mapped ite computed-table (a power of two). *)
+
+val heap_words : man -> int
+(** Words of heap the manager holds: 3 × node capacity + unique
+    capacity + 3 × cache capacity. *)
 
 val set_budget : man -> Budget.t -> unit
 (** Govern this manager: node allocation checks the node quota and each
@@ -79,8 +79,7 @@ val eval_vec : man -> t -> int array -> int
 
 val iter_nodes : man -> (t -> int -> t -> t -> unit) -> unit
 (** [iter_nodes man f] calls [f handle var low high] for every interned
-    (non-terminal) node, in handle order. On a shared manager this is
-    meaningful only at quiescence (no concurrent inserts). *)
+    (non-terminal) node, in handle order. *)
 
 val size : man -> t -> int
 (** Nodes reachable from the root, terminals included. *)
@@ -106,3 +105,16 @@ val cube_with : man -> Logic2.Cube.t -> t array -> t
 val cover_with : man -> Logic2.Cover.t -> t array -> t
 val of_cube : man -> Logic2.Cube.t -> t
 val of_cover : man -> Logic2.Cover.t -> t
+
+(** {1 Cross-manager transport} *)
+
+type dag = int array * int array * int array * int
+(** [(vars, lows, highs, root)]: a postorder DAG with terminal ids 0/1
+    and internal node [i] at id [i + 2]; children precede parents. It
+    depends only on the function, never on handle numbering — the
+    ["emask-eco/1"] persistence format and a canonical cross-manager
+    comparison. *)
+
+val export : man -> t -> dag
+val import : man -> dag -> t
+(** [import m (export m' f)] is [f]'s function in [m]. *)

@@ -203,14 +203,7 @@ let poll t =
 
 (* Amortized polling: cancellation every 256 ticks, the clock every
    1024 — cheap enough for the ite hot path, responsive enough that a
-   deadline or a cancel is observed within microseconds of real work.
-
-   When several domains share one budget (the shared-manager parallel
-   path), [ops] is updated with plain read-modify-writes: increments
-   lost to races make the op counter approximate (an underestimate),
-   which is accepted — op quotas are advisory walls, the counter stays
-   memory-safe, and the exact walls (node quota via the manager's
-   atomic node counter, cancellation, deadline) are unaffected. *)
+   deadline or a cancel is observed within microseconds of real work. *)
 let tick t =
   if t != unlimited then begin
     let ops = t.ops + 1 in

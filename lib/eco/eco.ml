@@ -399,51 +399,23 @@ let c_funcs_rebuilt = Obs.counter "eco.funcs.rebuilt"
 let c_sigmas_reused = Obs.counter "eco.sigmas.reused"
 let c_sigmas_recomputed = Obs.counter "eco.sigmas.recomputed"
 
-(* Per-output SPCFs over an explicit output set; [jobs > 1] fans
-   round-robin chunks across domains on the shared manager (worker j
-   owns outputs j, j+k, ...), re-interleaved into output order. *)
-let compute_sigmas ctx ~jobs ~outputs ~target_units =
-  let n = Array.length outputs in
-  let opts = Spcf.Exact.proposed_options in
-  if jobs <= 1 || n <= 1 then Spcf.Exact.sigmas ctx ~opts ~outputs ~target_units
-  else begin
-    let k = min jobs n in
-    Spcf.Ctx.prewarm_primes ctx;
-    let parent_budget = ctx.Spcf.Ctx.budget in
-    let chunk j =
-      Array.of_list (List.filteri (fun i _ -> i mod k = j) (Array.to_list outputs))
-    in
-    let worker j =
-      match Spcf.Exact.sigmas ctx ~opts ~outputs:(chunk j) ~target_units with
-      | sigs -> Ok sigs
-      | exception Budget.Budget_exceeded r ->
-        Budget.cancel parent_budget;
-        Error r
-    in
-    Spcf.Parallel.fanout ~k ~worker ~commit:(fun per_domain ->
-        let merged = Array.make n None in
-        Array.iteri
-          (fun j sigs -> List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) sigs)
-          per_domain;
-        Array.to_list merged
-        |> List.map (function Some r -> r | None -> assert false))
-  end
+let compute_sigmas ctx ~outputs ~target_units =
+  Spcf.Exact.sigmas ctx ~opts:Spcf.Exact.proposed_options ~outputs ~target_units
 
-let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
+let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?jobs:_
     ?(budget = Budget.unlimited) design =
   let circuit, sig_of = lower design in
-  let ctx = Spcf.Ctx.create ~model ~budget ~shared:true circuit in
+  let ctx = Spcf.Ctx.create ~model ~budget circuit in
   let delta = Spcf.Ctx.delta ctx in
   let target = Spcf.Ctx.target_of_theta ctx theta in
   let critical = Sta.critical_outputs ctx.Spcf.Ctx.sta ~target in
   let sigmas =
-    compute_sigmas ctx ~jobs ~outputs:critical
-      ~target_units:(Spcf.Ctx.units_of_target target)
+    compute_sigmas ctx ~outputs:critical ~target_units:(Spcf.Ctx.units_of_target target)
   in
   let covers =
     List.map (fun (nm, _, sigma) -> (nm, Isop.of_bdd ctx.Spcf.Ctx.man sigma)) sigmas
   in
-  let sens = Option.map (fun band -> Sensitization.analyze_ctx ~band ~jobs ctx) band in
+  let sens = Option.map (fun band -> Sensitization.analyze_ctx ~band ctx) band in
   let total = Network.num_signals (Mapped.network circuit) in
   {
     design;
@@ -474,7 +446,7 @@ let path_key net path =
   ^ String.concat ">"
       (Array.to_list (Array.map (Network.name_of net) path.Paths.signals))
 
-let recompute ?(jobs = 1) t edits =
+let recompute t edits =
   Obs.enter "eco.recompute";
   Fun.protect ~finally:Obs.leave @@ fun () ->
   let d0 = t.design in
@@ -557,7 +529,7 @@ let recompute ?(jobs = 1) t edits =
       (List.filter (fun (nm, _) -> not (reusable nm)) (Array.to_list critical))
   in
   let recomputed =
-    compute_sigmas ctx ~jobs ~outputs:to_recompute
+    compute_sigmas ctx ~outputs:to_recompute
       ~target_units:(Spcf.Ctx.units_of_target target)
   in
   let fresh = Hashtbl.create 16 in
@@ -626,7 +598,7 @@ let recompute ?(jobs = 1) t edits =
         | Either.Right _ :: rest, c :: cl -> c :: merge rest cl
         | Either.Right _ :: _, [] | [], _ :: _ -> assert false
       in
-      Some (Sensitization.assemble ctx ~jobs enum (merge slots classified))
+      Some (Sensitization.assemble ctx enum (merge slots classified))
   in
   let total = Network.num_signals net in
   let dirty_count = ref 0 in
@@ -719,7 +691,7 @@ let canonical t =
   List.iter
     (fun (nm, _, sigma) ->
       Printf.bprintf b "sigma %s " nm;
-      dag_to_buf b (Spcf.Parallel.export t.ctx.Spcf.Ctx.man sigma))
+      dag_to_buf b (Bdd.export t.ctx.Spcf.Ctx.man sigma))
     t.sigmas;
   List.iter
     (fun (nm, cover) ->
@@ -781,7 +753,7 @@ let serialize t =
   List.iter
     (fun (nm, _, sigma) ->
       Printf.bprintf b "sigma %s " nm;
-      dag_to_buf b (Spcf.Parallel.export t.ctx.Spcf.Ctx.man sigma))
+      dag_to_buf b (Bdd.export t.ctx.Spcf.Ctx.man sigma))
     t.sigmas;
   List.iter
     (fun (nm, cover) ->
@@ -873,7 +845,7 @@ let deserialize text =
   in
   let design = { pi_names; gates; outputs } in
   let circuit, sig_of = lower design in
-  let ctx = Spcf.Ctx.create ~model ~shared:true circuit in
+  let ctx = Spcf.Ctx.create ~model circuit in
   let delta = Spcf.Ctx.delta ctx in
   if not (Float.equal delta delta_stored) then
     failf "Eco.deserialize: stored delta %h disagrees with STA %h" delta_stored delta;
@@ -888,7 +860,7 @@ let deserialize text =
     Array.to_list critical
     |> List.map (fun (nm, y) ->
            match expect_toks "sigma" with
-           | n :: rest when n = nm -> (nm, y, Spcf.Parallel.import man (parse_dag rest))
+           | n :: rest when n = nm -> (nm, y, Bdd.import man (parse_dag rest))
            | l ->
              failf "Eco.deserialize: expected sigma %s, got %S" nm
                (String.concat " " l))
@@ -901,7 +873,7 @@ let deserialize text =
         | l -> failf "Eco.deserialize: expected mask %s, got %S" nm (String.concat " " l))
       sigmas
   in
-  let sens = Option.map (fun band -> Sensitization.analyze_ctx ~band ~jobs:1 ctx) band in
+  let sens = Option.map (fun band -> Sensitization.analyze_ctx ~band ctx) band in
   let total = Network.num_signals (Mapped.network circuit) in
   {
     design;

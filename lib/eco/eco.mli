@@ -8,7 +8,7 @@
     verdicts and masking covers — everything outside the cone is reused
     verbatim from a retained {!t} snapshot. Full recompute and
     incremental recompute are function-identical: the {!canonical}
-    rendering (SPCF DAGs via the [Spcf.Parallel] postorder export,
+    rendering (SPCF DAGs via the {!Bdd.export} postorder encoding,
     covers, verdict kinds) is byte-equal, which the [eco-equal] fuzz
     oracle enforces. See DESIGN.md §15. *)
 
@@ -151,12 +151,12 @@ val snapshot :
   ?budget:Budget.t ->
   design ->
   t
-(** Full analysis from scratch over a shared-manager context
-    ([theta] defaults to [0.9], [model] to [Library], sensitization
-    runs only when [band] is given, [jobs] defaults to [1]). Can raise
-    [Budget.Budget_exceeded]. *)
+(** Full analysis from scratch ([theta] defaults to [0.9], [model] to
+    [Library], sensitization runs only when [band] is given). [jobs] is
+    accepted for compatibility and ignored: the analysis runs on the
+    calling domain. Can raise [Budget.Budget_exceeded]. *)
 
-val recompute : ?jobs:int -> t -> edit list -> t
+val recompute : t -> edit list -> t
 (** Apply the edits and re-derive only the dirty cone: clean signals
     keep their BDD handle from the snapshot's manager, clean critical
     outputs keep their Σ handle, cover and sensitization verdicts
@@ -181,11 +181,11 @@ val fingerprint : t -> string
 
 val serialize : t -> string
 (** The ["emask-eco/1"] snapshot format: design, parameters, Δ, and
-    each critical output's SPCF as a [Spcf.Parallel] postorder DAG plus
+    each critical output's SPCF as a {!Bdd.export} postorder DAG plus
     its cover. Floats are printed with [%h] (lossless round-trip). *)
 
 val deserialize : string -> t
-(** Rebuilds the context (fresh shared manager), imports the SPCF DAGs,
+(** Rebuilds the context (fresh manager), imports the SPCF DAGs,
     and integrity-checks Δ against a fresh STA pass; sensitization is
     re-derived when a band was recorded (verdicts are a pure function
     of the circuit). Raises [Invalid_argument] on malformed or

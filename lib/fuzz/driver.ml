@@ -46,11 +46,11 @@ let sanitize msg =
   String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) msg
 
 (* The environment knobs that change how a failure reproduces: a repro
-   found under --jobs 4 with a tight budget may not fire sequentially
-   and unbounded, so the header pins what the run actually saw. *)
+   found under a tight budget may not fire unbounded, so the header
+   pins what the run actually saw. *)
 let env_header () =
-  [ "EMASK_JOBS"; "EMASK_BUDGET_TIMEOUT"; "EMASK_BUDGET_MAX_NODES";
-    "EMASK_BUDGET_MAX_OPS"; "EMASK_OBS"; "EMASK_FUZZ_SHARED" ]
+  [ "EMASK_BUDGET_TIMEOUT"; "EMASK_BUDGET_MAX_NODES"; "EMASK_BUDGET_MAX_OPS";
+    "EMASK_OBS" ]
   |> List.map (fun v ->
          Printf.sprintf "%s=%s" v
            (match Sys.getenv_opt v with

@@ -20,31 +20,20 @@ let too_large net = Network.num_nodes net > 80 || Array.length (Network.inputs n
 
 (* ---------- spcf-equal ---------- *)
 
-(* The Table-1 invariant: short-path ≡ path-based ≡ parallel(jobs=2),
-   node-based ⊇ exact, at a routine and a near-zero-slack target. All
-   four results live in the same BDD manager, so "identical function"
-   is handle equality and containment is one band/bnot. *)
+(* The Table-1 invariant: short-path ≡ path-based, node-based ⊇ exact,
+   at a routine and a near-zero-slack target. All three results live
+   in the same BDD manager, so "identical function" is handle equality
+   and containment is one band/bnot. *)
 let spcf_equal ~rng:_ ~budget net =
   if too_large net then Skip "too large for SPCF cross-check"
   else begin
     let mc = Mapper.map net in
     let ctx = Spcf.Ctx.create ~budget mc in
     let man = ctx.Spcf.Ctx.man in
-    (* EMASK_FUZZ_SHARED=1 adds a fifth implementation to the
-       cross-check: short-path at jobs=4 over the concurrent
-       shared-manager backend. Its Σs live in a different manager, so
-       the comparison is the canonical exported DAG (postorder over the
-       ROBDD), which must be byte-identical to the sequential one. *)
-    let shared_ctx =
-      match Sys.getenv_opt "EMASK_FUZZ_SHARED" with
-      | None | Some "" | Some "0" -> None
-      | Some _ -> Some (Spcf.Ctx.create ~budget ~shared:true mc)
-    in
     let check_theta theta =
       let target = Spcf.Ctx.target_of_theta ctx theta in
       let short = Spcf.Exact.short_path ctx ~target in
       let path = Spcf.Exact.path_based ctx ~target in
-      let par = Spcf.Parallel.short_path ~jobs:2 ctx ~target in
       let node = Spcf.Node_based.compute ctx ~target in
       let names r =
         String.concat "," (List.map (fun (n, _, _) -> n) r.Spcf.Ctx.outputs)
@@ -85,42 +74,7 @@ let spcf_equal ~rng:_ ~budget net =
             failf "theta=%.3f: node-based union is not a superset" theta
           | None -> Pass
       in
-      let against_shared () =
-        match shared_ctx with
-        | None -> Pass
-        | Some sctx ->
-          let r =
-            Spcf.Parallel.short_path ~jobs:4 sctx
-              ~target:(Spcf.Ctx.target_of_theta sctx theta)
-          in
-          if names short <> names r then
-            failf "theta=%.3f: critical outputs differ (short=[%s] shared=[%s])"
-              theta (names short) (names r)
-          else begin
-            let mismatch =
-              List.find_opt
-                (fun ((_, _, a), (_, _, b)) ->
-                  Spcf.Parallel.export man a
-                  <> Spcf.Parallel.export sctx.Spcf.Ctx.man b)
-                (List.combine short.Spcf.Ctx.outputs r.Spcf.Ctx.outputs)
-            in
-            match mismatch with
-            | Some ((o, _, _), _) ->
-              failf
-                "theta=%.3f: SPCF of %s differs between short-path and shared jobs=4"
-                theta o
-            | None -> Pass
-          end
-      in
-      List.fold_left
-        (fun acc r -> match acc with Pass -> r () | other -> other)
-        Pass
-        [
-          (fun () -> against "path-based" path);
-          (fun () -> against "parallel" par);
-          (fun () -> against_shared ());
-          superset;
-        ]
+      match against "path-based" path with Pass -> superset () | other -> other
     in
     match check_theta 0.9 with Pass -> check_theta 0.995 | other -> other
   end
@@ -470,11 +424,10 @@ let sens_vs_sim ~rng:_ ~budget net =
 (* ---------- eco-equal ---------- *)
 
 (* Full recompute vs incremental recompute after a random edit
-   sequence, across jobs ∈ {1, 2, 4, 8}: the canonical rendering
-   (SPCF postorder DAGs, masking covers, verdict kinds, summaries)
-   must be byte-identical. θ = 0.5 keeps several outputs critical so
-   jobs > 1 actually fans out; the sensitization band exercises the
-   verdict-reuse path too. *)
+   sequence: the canonical rendering (SPCF postorder DAGs, masking
+   covers, verdict kinds, summaries) must be byte-identical. θ = 0.5
+   keeps several outputs critical, so Σ reuse and recompute both run;
+   the sensitization band exercises the verdict-reuse path too. *)
 let eco_theta = 0.5
 let eco_band = 0.35
 
@@ -515,26 +468,19 @@ let eco_replay ~budget net edits =
   let full = Eco.snapshot ~theta:eco_theta ~band:eco_band ~budget d' in
   if has_unknown base || has_unknown full then Skip "unknown verdicts under budget"
   else begin
-    let reference = Eco.canonical full in
-    let rec loop = function
-      | [] -> Pass
-      | jobs :: rest ->
-        let incr = Eco.recompute ~jobs base edits in
-        if has_unknown incr then
-          Skip (Printf.sprintf "unknown verdicts at jobs=%d" jobs)
-        else begin
-          let got = Eco.canonical incr in
-          if got <> reference then begin
-            let line, want, have = first_diff reference got in
-            failf
-              "jobs=%d: incremental diverges from full recompute after %d edits \
-               (canonical line %d: full %S vs incremental %S)"
-              jobs (List.length edits) line want have
-          end
-          else loop rest
-        end
-    in
-    loop [ 1; 2; 4; 8 ]
+    let incr = Eco.recompute base edits in
+    if has_unknown incr then Skip "unknown verdicts in the incremental run"
+    else begin
+      let reference = Eco.canonical full and got = Eco.canonical incr in
+      if got = reference then Pass
+      else begin
+        let line, want, have = first_diff reference got in
+        failf
+          "incremental diverges from full recompute after %d edits (canonical \
+           line %d: full %S vs incremental %S)"
+          (List.length edits) line want have
+      end
+    end
   end
 
 let eco_equal ~rng ~budget net =
@@ -593,7 +539,7 @@ let all =
       name = "eco-equal";
       describe =
         "incremental ECO recompute = full recompute after random edit sequences, \
-         byte-identical canonical form across jobs in {1,2,4,8}";
+         byte-identical canonical form";
       check = eco_equal;
     };
   ]

@@ -11,9 +11,9 @@
     Catalogue (names are stable CLI identifiers):
 
     - [spcf-equal] — the paper's Table-1 invariant: the proposed
-      short-path SPCF, the path-based extension, and the domain-parallel
-      driver ([jobs = 2]) produce identical per-output Σ_y, and the
-      node-based over-approximation contains each of them. Checked at
+      short-path SPCF and the path-based extension produce identical
+      per-output Σ_y, and the node-based over-approximation contains
+      each of them. Checked at
       θ = 0.9 and at near-zero slack (θ = 0.995).
     - [bdd-sim] — global BDDs vs bit-parallel simulation vs scalar
       evaluation, exhaustive over all input patterns (specimens are
@@ -32,8 +32,7 @@
     - [blif-roundtrip] — parse → print → parse: equivalence is
       preserved and printing reaches a fixpoint after one round.
     - [eco-equal] — incremental ECO recompute vs full recompute: after
-      a random edit sequence, [Eco.recompute] at jobs ∈ {1, 2, 4, 8}
-      must render the same {!Eco.canonical} form (SPCF DAGs, covers,
+      a random edit sequence, [Eco.recompute] must render the same {!Eco.canonical} form (SPCF DAGs, covers,
       verdict kinds) as a from-scratch [Eco.snapshot] of the edited
       design. *)
 
@@ -71,4 +70,4 @@ val eco_edits : rng:Util.Rng.t -> Network.t -> Eco.edit list option
 
 val eco_replay : budget:Budget.t -> Network.t -> Eco.edit list -> outcome
 (** Full-vs-incremental comparison for a concrete edit sequence
-    (θ = 0.5, band = 0.35, jobs ∈ {1, 2, 4, 8}). *)
+    (θ = 0.5, band = 0.35). *)

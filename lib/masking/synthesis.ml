@@ -34,7 +34,6 @@ type options = {
   delay_model : Sta.delay_model;
   prune_false_paths : bool;
       (* drop provably-false critical outputs from the cover (exact tier) *)
-  jobs : int; (* SPCF worker domains; 0 = inherit EMASK_JOBS, 1 = sequential *)
   budget : Budget.spec; (* resource governance; no_limits = ungoverned *)
 }
 
@@ -51,7 +50,6 @@ let default_options =
     log_errors = false;
     delay_model = Sta.Library;
     prune_false_paths = false;
-    jobs = 0;
     budget = Budget.no_limits;
   }
 
@@ -85,10 +83,6 @@ type t = {
       (* critical outputs dropped from the cover as provably false *)
 }
 
-(* The resolved SPCF worker-domain count for a run. *)
-let jobs_of options =
-  if options.jobs >= 1 then options.jobs else Spcf.Parallel.default_jobs ()
-
 (* The SPCF engine for a ladder tier: the requested algorithm at tier 1,
    node-based at tier 2, Σ := 1 at tier 3 ([options.algorithm] is kept
    as requested in the result — the tier records what actually ran). *)
@@ -101,10 +95,9 @@ let run_algorithm options ctx ~target ~tier =
       | Spcf.Governed.Node_fallback -> Node_based
       | _ -> options.algorithm
     in
-    let jobs = jobs_of options in
     match algorithm with
-    | Short_path -> Spcf.Parallel.short_path ~jobs ctx ~target
-    | Path_based -> Spcf.Parallel.path_based ~jobs ctx ~target
+    | Short_path -> Spcf.Exact.short_path ctx ~target
+    | Path_based -> Spcf.Exact.path_based ctx ~target
     | Node_based -> Spcf.Node_based.compute ctx ~target)
 
 let c_cubes_kept = Obs.counter "synthesis.cubes.kept"
@@ -163,15 +156,7 @@ let synthesize_body options ~budget ~tier ~attempts net =
     Obs.with_span "map" (fun () ->
         Mapper.map_with_signals ~style:options.map_style net)
   in
-  (* A multi-job Exact-tier run gets the shared-manager context so
-     SPCF workers grow one DAG; the synthesis passes after the SPCF
-     run back on the main domain use the same manager either way. *)
-  let shared =
-    jobs_of options > 1
-    && (match tier with Spcf.Governed.Exact -> true | _ -> false)
-    && options.algorithm <> Node_based
-  in
-  let ctx = Spcf.Ctx.create ~model:options.delay_model ~budget ~shared original in
+  let ctx = Spcf.Ctx.create ~model:options.delay_model ~budget original in
   let delta = Spcf.Ctx.delta ctx in
   let target = options.theta *. delta in
   let spcf = run_algorithm options ctx ~target ~tier in
@@ -202,10 +187,7 @@ let synthesize_body options ~budget ~tier ~attempts net =
     then begin
       (* The band mirrors the SPCF target: near-critical means longer
          than theta * delta, i.e. band = 1 - theta. *)
-      let report =
-        Sensitization.analyze_ctx ~band:(1. -. options.theta)
-          ~jobs:(jobs_of options) ctx
-      in
+      let report = Sensitization.analyze_ctx ~band:(1. -. options.theta) ctx in
       let false_outs = Sensitization.false_outputs report in
       let p, keep =
         List.partition

@@ -31,9 +31,6 @@ type options = {
           [Σ ⊆ e ⊆ (ỹ = y)] is preserved — Σ_y of a pruned output is
           empty, so dropping it removes nothing from Σ. Only the
           exact tier prunes; fallback tiers carry no certificate. *)
-  jobs : int;
-      (** SPCF worker domains ([Spcf.Parallel]); 0 = inherit
-          [EMASK_JOBS], 1 = sequential (default) *)
   budget : Budget.spec;
       (** resource governance. [Budget.no_limits] (the default) runs
           the ungoverned path unchanged; otherwise [synthesize] walks

@@ -150,14 +150,10 @@ let eval_outputs t pi_values =
   Array.map (fun (_, s) -> value.(s)) (outputs t)
 
 (* Global BDDs for every signal; BDD variable i is the i-th primary
-   input. [shared] selects the concurrent manager backend so domain
-   workers can keep growing the same DAG afterwards. *)
-let to_bdds ?(budget = Budget.unlimited) ?(shared = false) t =
+   input. *)
+let to_bdds ?(budget = Budget.unlimited) t =
   let ins = inputs t in
-  let nvars = Array.length ins in
-  let man =
-    if shared then Bdd.create_shared ~nvars () else Bdd.create ~nvars ()
-  in
+  let man = Bdd.create ~nvars:(Array.length ins) () in
   Bdd.set_budget man budget;
   let f = Array.make t.count Bdd.bfalse in
   Array.iteri (fun i s -> f.(s) <- Bdd.var man i) ins;

@@ -42,13 +42,11 @@ val eval : t -> bool array -> bool array
 
 val eval_outputs : t -> bool array -> bool array
 
-val to_bdds : ?budget:Budget.t -> ?shared:bool -> t -> Bdd.man * Bdd.t array
+val to_bdds : ?budget:Budget.t -> t -> Bdd.man * Bdd.t array
 (** Global BDDs per signal; BDD variable [i] is the i-th primary input.
     The fresh manager is governed by [budget] (default
     [Budget.unlimited]): construction itself can raise
-    [Budget.Budget_exceeded] on adversarial cone blow-up. [shared]
-    (default false) selects {!Bdd.create_shared}, the concurrent
-    backend that domain workers can keep growing afterwards. *)
+    [Budget.Budget_exceeded] on adversarial cone blow-up. *)
 
 val extract_cone : t -> string list -> t
 (** A fresh network keeping only the fanin cones of the named outputs. *)

@@ -1,9 +1,8 @@
 (* Domain-safe instrumentation registry.
 
-   v1 of this module was single-threaded global mutable state, which
-   forced [Spcf.Parallel] to fall back to sequential execution whenever
-   statistics collection was on — the one mode worth profiling could not
-   be observed. v2 splits the registry in two:
+   v1 of this module was single-threaded global mutable state, so no
+   domain but the main one could record while statistics collection was
+   on. v2 splits the registry in two:
 
    - *Descriptors* ([counter] / [histogram] values) are immutable
      (name, slot) pairs interned in a global table under a mutex.

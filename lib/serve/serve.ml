@@ -48,6 +48,20 @@ let default_config =
     verbose = false;
   }
 
+(* EMASK_JOBS when set to a positive integer, else the recommended
+   domain count capped at [cap]. A set but malformed or non-positive
+   value is a hard error: the worker count is never changed silently. *)
+let auto_jobs ?(cap = 8) () =
+  let recommended () = max 1 (min cap (Domain.recommended_domain_count ())) in
+  match Sys.getenv_opt "EMASK_JOBS" with
+  | None -> recommended ()
+  | Some raw -> (
+    match int_of_string_opt (String.trim raw) with
+    | Some n when n >= 1 -> n
+    | _ when String.trim raw = "" -> recommended ()
+    | Some _ | None ->
+      invalid_arg (Printf.sprintf "EMASK_JOBS: expected a positive integer, got %S" raw))
+
 type job = {
   fd : Unix.file_descr;
   req : Serve_protocol.request;

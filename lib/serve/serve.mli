@@ -38,6 +38,12 @@ val default_config : config
 (** TCP on 127.0.0.1:9309, 2 workers, queue 16, 256 MiB cache, no
     budget, no ledger, 10 s request-read timeout. *)
 
+val auto_jobs : ?cap:int -> unit -> int
+(** The default [--jobs]: [EMASK_JOBS] when set to a positive integer,
+    else [Domain.recommended_domain_count ()] capped at [cap] (default
+    8). A set but malformed or non-positive value raises
+    [Invalid_argument]. *)
+
 val run : ?ready:(int -> unit) -> config -> unit
 (** Serve until a [shutdown] request. [ready] fires once the socket is
     listening, with the bound TCP port (0 for Unix sockets) — port 0

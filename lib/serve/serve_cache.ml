@@ -5,10 +5,10 @@
    Keying by the digest of the source text (or the suite name) means
    "same netlist, different file name" is one entry, and an edited
    file is a clean miss — there is no invalidation protocol to get
-   wrong. Sizing is a deliberate estimate, not an exact accounting:
-   the source text dominates for inline circuits, and the per-gate /
-   per-snapshot constants keep a cache full of suite circuits or
-   snapshot-heavy entries from looking free.
+   wrong. A circuit is charged by estimate (its source text plus a
+   per-gate constant); an eco snapshot by the heap its BDD manager
+   holds when it is cached ([Bdd.heap_words]), which dominates for
+   snapshot-heavy entries.
 
    Locking: the table lock covers lookup/insert/evict bookkeeping
    only — never a parse, map or snapshot, so a slow load on one
@@ -25,7 +25,7 @@
 type entry = {
   key : string;
   job : Serve_jobs.entry;
-  bytes : int;  (** size estimate for eviction accounting *)
+  mutable bytes : int;  (** charged size: circuit estimate plus snapshots *)
   lock : Mutex.t;  (** serializes eco jobs (see [with_eco_lock]) *)
   mutable snaps : ((float * float option) * Eco.t) list;
       (** eco baselines by (theta, band) *)
@@ -55,11 +55,9 @@ let key_of (c : Serve_jobs.circuit) =
   | None -> "suite:" ^ c.Serve_jobs.spec
 
 (* ~1 KiB per gate for the elaborated network + mapped realization is
-   generous but the right order of magnitude; a snapshot's BDDs are
-   charged at a flat 256 KiB. Being off by 2x either way only moves
-   the eviction point, never correctness. *)
+   generous but the right order of magnitude. Being off by 2x only
+   moves the eviction point, never correctness. *)
 let per_gate_bytes = 1024
-let per_snap_bytes = 256 * 1024
 
 let estimate (c : Serve_jobs.circuit) (e : Serve_jobs.entry) =
   let src = match c.Serve_jobs.source with Some s -> String.length s | None -> 0 in
@@ -153,7 +151,9 @@ let snapshot_on t (e : entry) : Serve_jobs.snapshot_for =
     locked t.tlock (fun () ->
         match Hashtbl.find_opt t.tbl e.key with
         | Some e' when e' == e ->
-          t.used <- t.used + per_snap_bytes;
+          let bytes = Bdd.heap_words snap.Eco.ctx.Spcf.Ctx.man * (Sys.word_size / 8) in
+          e.bytes <- e.bytes + bytes;
+          t.used <- t.used + bytes;
           evict_to_cap t
         | Some _ | None -> ());
     snap

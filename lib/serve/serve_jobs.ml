@@ -147,13 +147,7 @@ let run_lint ~note buf (c : circuit) (r : lint_req) =
       in
       let contract_ds =
         if r.l_contract && Analysis.Diag.errors net_ds = [] then begin
-          let options =
-            {
-              Masking.Synthesis.default_options with
-              theta = r.l_theta;
-              jobs = r.l_jobs;
-            }
-          in
+          let options = { Masking.Synthesis.default_options with theta = r.l_theta } in
           let m = Masking.Synthesis.synthesize ~options net in
           Analysis.Lint.masking m
         end
@@ -190,8 +184,7 @@ let run_spcf ~note buf (lookup : lookup) (c : circuit) (r : spcf_req)
   note_run note ~theta:r.s_theta ~jobs:r.s_jobs;
   let mc = Lazy.force entry.e_mc in
   let o =
-    Spcf.Governed.compute ~jobs:r.s_jobs ~spec:bspec ~algorithm:r.s_algorithm
-      ~theta:r.s_theta mc
+    Spcf.Governed.compute ~spec:bspec ~algorithm:r.s_algorithm ~theta:r.s_theta mc
   in
   let ctx = o.Spcf.Governed.ctx and res = o.Spcf.Governed.result in
   put note "algorithm" (Obs_json.String res.Spcf.Ctx.algorithm);
@@ -304,8 +297,7 @@ let run_paths ~note buf (lookup : lookup) (c : circuit) (r : paths_req)
   let mc = Lazy.force entry.e_mc in
   let mnet = Mapped.network mc in
   let report =
-    Sensitization.analyze ~band:r.p_band ~max_paths:r.p_max_paths ~jobs:r.p_jobs
-      ~budget mc
+    Sensitization.analyze ~band:r.p_band ~max_paths:r.p_max_paths ~budget mc
   in
   let diags = Analysis.Passes.sensitization report in
   let nt, nf, nu = Sensitization.counts report in
@@ -366,7 +358,6 @@ let run_protect ~note ?out buf (lookup : lookup) (c : circuit) (r : protect_req)
     {
       Masking.Synthesis.default_options with
       theta = r.m_theta;
-      jobs = r.m_jobs;
       prune_false_paths = r.m_prune;
       budget = bspec;
     }
@@ -456,15 +447,14 @@ let run_eco ~note ?(snapshot_for = default_snapshot) buf (lookup : lookup)
     Obs.with_span "eco.baseline" (fun () ->
         snapshot_for ~theta:r.c_theta ~band:r.c_band ~jobs:r.c_jobs ~budget d0)
   in
-  let t = Obs.with_span "eco.recompute" (fun () -> Eco.recompute ~jobs:r.c_jobs base edits) in
+  let t = Obs.with_span "eco.recompute" (fun () -> Eco.recompute base edits) in
   let check_result =
     if not r.c_check then None
     else
       Some
         (Obs.with_span "eco.check" (fun () ->
              let full =
-               Eco.snapshot ~theta:r.c_theta ?band:r.c_band ~jobs:r.c_jobs ~budget
-                 t.Eco.design
+               Eco.snapshot ~theta:r.c_theta ?band:r.c_band ~budget t.Eco.design
              in
              Eco.canonical full = Eco.canonical t))
   in

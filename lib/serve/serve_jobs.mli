@@ -44,6 +44,9 @@ val note_circuit : note -> string -> Network.t -> unit
     [None]). *)
 
 val note_run : note -> theta:float -> jobs:int -> unit
+(** Note the request's theta and [jobs]. The [*_jobs] request fields
+    below carry the caller's [--jobs] only to be echoed (here and in
+    eco JSON): every job runs on one domain. *)
 
 val report_synthesis_degradation : Buffer.t -> Masking.Synthesis.t -> unit
 (** The "budget: degraded to ..." line, also needed by CLI commands

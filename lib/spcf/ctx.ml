@@ -30,8 +30,7 @@ let c_primes_hits = Obs.counter "spcf.primes.cache_hits"
 let c_primes_computed = Obs.counter "spcf.primes.computed"
 let h_primes_cubes = Obs.histogram "spcf.primes.cover_cubes"
 
-let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
-    circuit =
+let create ?(model = Sta.Library) ?(budget = Budget.unlimited) circuit =
   Obs.enter "spcf.ctx.create";
   (* Budget exhaustion can raise out of [to_bdds]; keep the span tree
      balanced on that path. *)
@@ -39,7 +38,7 @@ let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
   let sta = Obs.with_span "sta.analyze" (fun () -> Sta.analyze ~model circuit) in
   let man, funcs =
     Obs.with_span "network.to_bdds" (fun () ->
-        Network.to_bdds ~budget ~shared (Mapped.network circuit))
+        Network.to_bdds ~budget (Mapped.network circuit))
   in
   let delays = Sta.gate_delays model circuit in
   let delay_units = Array.map units_of_delay delays in
@@ -86,18 +85,6 @@ let primes_of t s =
         (Logic2.Cover.num_cubes (fst pair) + Logic2.Cover.num_cubes (snd pair));
       Hashtbl.replace t.primes cell.Cell.cname pair;
       pair)
-
-(* The primes cache is a plain Hashtbl — workers sharing one context
-   must find every cell already present so their accesses are pure
-   reads. The parallel driver calls this on the main domain before
-   spawning. *)
-let prewarm_primes t =
-  Array.iter
-    (fun s ->
-      match Mapped.cell_of t.circuit s with
-      | None -> ()
-      | Some _ -> ignore (primes_of t s : Logic2.Cover.t * Logic2.Cover.t))
-    (Network.topo_order (network t))
 
 let delta t = Sta.delta t.sta
 

@@ -17,22 +17,14 @@ val grid : float
 
 val units_of_delay : float -> int
 val units_of_target : float -> int
-val create :
-  ?model:Sta.delay_model -> ?budget:Budget.t -> ?shared:bool -> Mapped.t -> t
+val create : ?model:Sta.delay_model -> ?budget:Budget.t -> Mapped.t -> t
 (** [budget] governs the context's BDD manager from construction on:
     both [to_bdds] and every subsequent SPCF computation can raise
-    [Budget.Budget_exceeded]. [shared] (default false) builds the
-    context over a concurrent BDD manager ({!Bdd.create_shared}) so
-    worker domains can compute SPCFs directly in it. *)
+    [Budget.Budget_exceeded]. *)
 
 val network : t -> Network.t
 
 val primes_of : t -> Network.signal -> Logic2.Cover.t * Logic2.Cover.t
-
-val prewarm_primes : t -> unit
-(** Populate the per-cell prime cache for every gate. Required before
-    several domains share this context: afterwards [primes_of] is a
-    pure read. *)
 
 val delta : t -> float
 val target_of_theta : t -> float -> float

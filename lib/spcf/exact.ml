@@ -159,18 +159,18 @@ let sigma_of_output_lateness ctx ~memo y target_units =
   in
   Bdd.bor ctx.Ctx.man u0 u1
 
-(* Per-output SPCFs for an explicit output set — the unit of work the
-   domain-parallel driver (Spcf.Parallel) hands to each worker. The memo
+(* Per-output SPCFs for an explicit output set — the unit of work
+   [Eco.recompute] hands over for the outputs an edit dirtied. The memo
    is shared across the given outputs exactly when the options say so,
-   matching the sequential algorithms' cost profile per worker. *)
+   matching the whole-circuit algorithms' cost profile. *)
 let sigmas ctx ~opts ~outputs ~target_units =
   let memo = Hashtbl.create 4096 in
   Array.to_list outputs
   |> List.map (fun (name, y) ->
-         (* Un-amortized checkpoint at each output boundary: a worker
-            whose team-mate cancelled (or whose deadline passed) stops
-            before starting the next cone even if its own op counter
-            is cold. *)
+         (* Un-amortized checkpoint at each output boundary: a job
+            whose client disconnected (or whose deadline passed) stops
+            before starting the next cone even if its op counter is
+            cold. *)
          Budget.poll ctx.Ctx.budget;
          if not opts.share_across_outputs then Hashtbl.reset memo;
          let sigma =

@@ -22,16 +22,9 @@ val sigmas :
   target_units:int ->
   (string * Network.signal * Bdd.t) list
 (** Per-output SPCFs for an explicit output set (no [Ctx.result]
-    wrapper) — the unit of work one parallel worker performs. The memo
-    is shared across the given outputs iff [opts.share_across_outputs]. *)
-
-val sigmas_lateness :
-  Ctx.t ->
-  outputs:(string * Network.signal) array ->
-  target_units:int ->
-  (string * Network.signal * Bdd.t) list
-(** Same, in the lateness (product-of-sums) formulation the path-based
-    extension uses: fresh memo per output. *)
+    wrapper) — what an incremental recompute re-derives for the outputs
+    an edit dirtied. The memo is shared across the given outputs iff
+    [opts.share_across_outputs]. *)
 
 val short_path : Ctx.t -> target:float -> Ctx.result
 (** The paper's proposed algorithm: exact, with memoized time budgets

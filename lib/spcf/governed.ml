@@ -66,19 +66,13 @@ type outcome = {
   attempts : (tier * Budget.reason) list;
 }
 
-let run_tier ?jobs ~model ~budget ~theta algorithm circuit =
-  (* A multi-job run of an Exact tier gets the shared-manager context,
-     so workers grow one DAG instead of rebuilding private managers;
-     Node_based is single-pass sequential and keeps the plain backend. *)
-  let shared =
-    (match jobs with Some j -> j > 1 | None -> false) && algorithm <> Node_based
-  in
-  let ctx = Ctx.create ~model ~budget ~shared circuit in
+let run_tier ~model ~budget ~theta algorithm circuit =
+  let ctx = Ctx.create ~model ~budget circuit in
   let target = Ctx.target_of_theta ctx theta in
   let result =
     match algorithm with
-    | Short_path -> Parallel.compute ?jobs ctx ~algorithm:Parallel.Short_path ~target
-    | Path_based -> Parallel.compute ?jobs ctx ~algorithm:Parallel.Path_based ~target
+    | Short_path -> Exact.short_path ctx ~target
+    | Path_based -> Exact.path_based ctx ~target
     | Node_based -> Node_based.compute ctx ~target
   in
   (ctx, result)
@@ -99,21 +93,16 @@ let floor_tier ~model ~theta ~attempts circuit =
   record_tier Always_on result;
   { ctx; result; tier = Always_on; attempts }
 
-let compute ?jobs ?(model = Sta.Library) ?(spec = Budget.no_limits) ~algorithm ~theta
+let compute ?(model = Sta.Library) ?(spec = Budget.no_limits) ~algorithm ~theta
     circuit =
-  (* Resolve the job count once, up front: the context backend (shared
-     vs sequential manager) depends on it. *)
-  let jobs =
-    Some (match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ())
-  in
   if Budget.is_no_limits spec then
     (* Ungoverned: exactly the plain computation, bit for bit. *)
     finish ~tier:Exact ~attempts:[]
-      (run_tier ?jobs ~model ~budget:Budget.unlimited ~theta algorithm circuit)
+      (run_tier ~model ~budget:Budget.unlimited ~theta algorithm circuit)
   else begin
     touch_ladder_metrics ();
     let budget = Budget.instantiate spec in
-    match run_tier ?jobs ~model ~budget ~theta algorithm circuit with
+    match run_tier ~model ~budget ~theta algorithm circuit with
     | pair -> finish ~tier:Exact ~attempts:[] pair
     | exception Budget.Budget_exceeded Budget.Cancelled ->
       (* Cancellation is not exhaustion: nobody wants the result, so

@@ -49,7 +49,6 @@ type outcome = {
 }
 
 val compute :
-  ?jobs:int ->
   ?model:Sta.delay_model ->
   ?spec:Budget.spec ->
   algorithm:algorithm ->

@@ -53,13 +53,15 @@ let test_of_env () =
 let test_jobs_env () =
   let set v = Unix.putenv "EMASK_JOBS" v in
   set "3";
-  check_int "valid value" 3 (Spcf.Parallel.default_jobs ());
+  check_int "valid value" 3 (Serve.auto_jobs ());
   set "";
-  check_int "empty means sequential" 1 (Spcf.Parallel.default_jobs ());
+  check_int "empty means the recommended count"
+    (max 1 (min 8 (Domain.recommended_domain_count ())))
+    (Serve.auto_jobs ());
   List.iter
     (fun bad ->
       set bad;
-      check ("reject " ^ bad) true (raises_invalid Spcf.Parallel.default_jobs))
+      check ("reject " ^ bad) true (raises_invalid Serve.auto_jobs))
     [ "abc"; "0"; "-4" ];
   set ""
 
@@ -125,7 +127,7 @@ let test_governed_ungoverned_identical () =
   let mc' = mapped "cmb" in
   let ctx = Spcf.Ctx.create mc' in
   let target = Spcf.Ctx.target_of_theta ctx 0.9 in
-  let r = Spcf.Parallel.short_path ctx ~target in
+  let r = Spcf.Exact.short_path ctx ~target in
   check_str "same count"
     (Extfloat.to_string (Spcf.Ctx.count ctx r))
     (Extfloat.to_string
@@ -147,7 +149,7 @@ let test_governed_fallback_sound () =
     let mc' = mapped "x2" in
     let ctx = Spcf.Ctx.create mc' in
     let target = Spcf.Ctx.target_of_theta ctx 0.9 in
-    Spcf.Ctx.count ctx (Spcf.Parallel.short_path ctx ~target)
+    Spcf.Ctx.count ctx (Spcf.Exact.short_path ctx ~target)
   in
   let got = Spcf.Ctx.count o.Spcf.Governed.ctx o.Spcf.Governed.result in
   check "over-approximates exact" false (Extfloat.lt got exact)

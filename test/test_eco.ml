@@ -1,6 +1,6 @@
 (* Tests for the incremental/ECO recompute engine: cone-dirtying rules
    on hand-built fixtures, full-vs-incremental canonical identity,
-   snapshot round-trip, jobs byte-identity, and physical reuse of
+   snapshot round-trip, the ignored [jobs] parameter, and physical reuse of
    out-of-cone SPCF handles. The randomized counterpart is the
    eco-equal differential fuzz oracle. *)
 
@@ -154,8 +154,10 @@ let test_snapshot_roundtrip () =
 (* --- jobs byte-identity ------------------------------------------------- *)
 
 let test_jobs_identity () =
-  (* theta 0.5 gives C432 several critical outputs, so jobs > 1
-     actually fans out. The canonical form must not depend on jobs. *)
+  (* [Eco.snapshot ?jobs] is kept for compatibility and ignored: the
+     canonical form must not depend on it. theta 0.5 gives C432 several
+     critical outputs, so the incremental run below both reuses and
+     recomputes SPCFs. *)
   let d = Eco.design_of_mapped (Mapper.map (Suite.load "C432")) in
   let edit =
     match Eco.smallest_cone_edit d with
@@ -163,12 +165,12 @@ let test_jobs_identity () =
     | None -> Alcotest.fail "no 1-gate edit on C432"
   in
   let base = Eco.snapshot ~theta:0.5 d in
-  let reference = Eco.canonical (Eco.recompute ~jobs:1 base [ edit ]) in
   List.iter
     (fun jobs ->
-      let got = Eco.canonical (Eco.recompute ~jobs base [ edit ]) in
-      check_string (Printf.sprintf "jobs=%d identical" jobs) reference got)
+      check_string (Printf.sprintf "jobs=%d identical" jobs) (Eco.canonical base)
+        (Eco.canonical (Eco.snapshot ~theta:0.5 ~jobs d)))
     [ 2; 4; 8 ];
+  let reference = Eco.canonical (Eco.recompute base [ edit ]) in
   let d', _, _ = Eco.apply_all d [ edit ] in
   check_string "matches full recompute" (Eco.canonical (Eco.snapshot ~theta:0.5 d'))
     reference
@@ -186,7 +188,7 @@ let test_sigma_handle_reused () =
   in
   let incr = Eco.recompute base [ Rewire { target = g1; pin = 0; fanin = c } ] in
   (* y2's cone is untouched: its Σ must be the very same node handle in
-     the shared manager — reused, not recomputed. *)
+     the snapshot's manager — reused, not recomputed. *)
   check_int "y2 sigma physically reused" (sigma_of base "y2") (sigma_of incr "y2");
   check "y2 counted as reused" true (incr.Eco.stats.Eco.sigmas_reused >= 1);
   check "y1 recomputed" true (incr.Eco.stats.Eco.sigmas_recomputed >= 1);

@@ -1,14 +1,15 @@
-(* Tests for the domain-parallel SPCF driver: the cross-manager DAG
-   transport round-trips arbitrary functions, and running with several
-   worker domains yields exactly the sequential results — same critical
-   outputs in the same order, same per-output SPCFs, same synthesized
-   masking circuit. *)
+(* Tests for what parallelism survives around the one sequential BDD
+   manager: the cross-manager DAG transport round-trips arbitrary
+   functions; several domains, each with a private manager (the serve
+   worker pool's model), compute exactly what one domain computes; a
+   manager handed between domains keeps its handles; collection on
+   several such domains merges to exact per-domain counts; and the [jobs]
+   member a request still carries never changes a rendered byte. *)
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* ---------- Export / import round-trip ---------- *)
+(* ---------- Expressions ---------- *)
 
 type expr = Var of int | Not of expr | And of expr * expr | Xor of expr * expr
 
@@ -24,12 +25,9 @@ let rec build man = function
   | And (a, b) -> Bdd.band man (build man a) (build man b)
   | Xor (a, b) -> Bdd.bxor man (build man a) (build man b)
 
-let nvars = 6
-let envs = List.init (1 lsl nvars) (fun i -> Array.init nvars (fun v -> (i lsr v) land 1 = 1))
-
-let expr_gen =
+let expr_gen ~nvars ~size =
   let open QCheck.Gen in
-  sized_size (int_bound 8)
+  sized_size (int_bound size)
   @@ fix (fun self n ->
          if n <= 0 then map (fun v -> Var v) (int_bound (nvars - 1))
          else
@@ -47,96 +45,113 @@ let rec expr_print = function
   | And (a, b) -> Printf.sprintf "(%s & %s)" (expr_print a) (expr_print b)
   | Xor (a, b) -> Printf.sprintf "(%s ^ %s)" (expr_print a) (expr_print b)
 
+(* ---------- Export / import round-trip ---------- *)
+
+let nvars = 6
+let envs = List.init (1 lsl nvars) (fun i -> Array.init nvars (fun v -> (i lsr v) land 1 = 1))
+let arb_expr = QCheck.make ~print:expr_print (expr_gen ~nvars ~size:8)
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"transport: export/import preserves the function"
-    ~count:300
-    (QCheck.make ~print:expr_print expr_gen)
-    (fun e ->
+    ~count:300 arb_expr (fun e ->
       let m1 = Bdd.create ~nvars () in
       let m2 = Bdd.create ~nvars () in
       let f = build m1 e in
-      let g = Spcf.Parallel.import m2 (Spcf.Parallel.export m1 f) in
+      let g = Bdd.import m2 (Bdd.export m1 f) in
       List.for_all (fun env -> Bdd.eval m2 g env = eval_expr env e) envs)
 
 let prop_roundtrip_same_manager =
   QCheck.Test.make ~name:"transport: re-import into the source manager is identity"
-    ~count:300
-    (QCheck.make ~print:expr_print expr_gen)
-    (fun e ->
+    ~count:300 arb_expr (fun e ->
       let man = Bdd.create ~nvars () in
       let f = build man e in
-      Spcf.Parallel.import man (Spcf.Parallel.export man f) = f)
+      Bdd.import man (Bdd.export man f) = f)
 
-(* ---------- Determinism: jobs = 4 vs jobs = 1 ---------- *)
+(* ---------- Domains with private managers ---------- *)
 
-let circuits = [ "i1"; "cmb"; "x2" ]
+(* A fixed pool (fixed generator seed), large enough that every
+   manager grows its node store and unique table. *)
+let pool_nvars = 14
 
-(* Per-output SPCFs live in different managers for the two runs, so the
-   comparison is semantic: same names in the same order, same minterm
-   counts per output and for the union. *)
-let same_result (ctx1, (r1 : Spcf.Ctx.result)) (ctx4, (r4 : Spcf.Ctx.result)) =
-  let names r = List.map (fun (n, _, _) -> n) r.Spcf.Ctx.outputs in
-  check_str "output order" (String.concat "," (names r1)) (String.concat "," (names r4));
-  List.iter2
-    (fun (n, _, s1) (_, _, s4) ->
-      check (n ^ " satcount") true
-        (Extfloat.equal
-           (Bdd.satcount ctx1.Spcf.Ctx.man s1)
-           (Bdd.satcount ctx4.Spcf.Ctx.man s4)))
-    r1.Spcf.Ctx.outputs r4.Spcf.Ctx.outputs;
-  check "union satcount" true
-    (Extfloat.equal (Spcf.Ctx.count ctx1 r1) (Spcf.Ctx.count ctx4 r4))
+let pool =
+  QCheck.Gen.generate ~rand:(Random.State.make [| 2024 |]) ~n:96
+    (expr_gen ~nvars:pool_nvars ~size:60)
 
-let run_spcf algo jobs name =
-  let mc = Mapper.map (Suite.load name) in
-  let ctx = Spcf.Ctx.create mc in
-  let target = Spcf.Ctx.target_of_theta ctx 0.9 in
-  let r =
-    match algo with
-    | `Short -> Spcf.Parallel.short_path ~jobs ctx ~target
-    | `Path -> Spcf.Parallel.path_based ~jobs ctx ~target
+(* The first node violating canonicity, if any: a duplicate
+   (var, low, high) triple, a redundant node, or a child not below its
+   parent in the variable order. Workers return it rather than failing
+   themselves — Alcotest checks belong on the main domain. *)
+let violation man =
+  let seen = Hashtbl.create 4096 and bad = ref None in
+  Bdd.iter_nodes man (fun n v lo hi ->
+      let child_ok c = Bdd.is_terminal c || Bdd.var_of man c > v in
+      if !bad = None && (lo = hi || (not (child_ok lo && child_ok hi)) || Hashtbl.mem seen (v, lo, hi))
+      then bad := Some (n : Bdd.t :> int);
+      Hashtbl.replace seen (v, lo, hi) ());
+  !bad
+
+(* Every domain builds the whole pool in its own manager, plus a
+   domain-specific perturbation, concurrently with the others. The
+   exported DAGs must equal a build on the main domain: the manager
+   keeps no state that domains could share. *)
+let test_hammer ndomains () =
+  let export_pool ~perturb () =
+    let man = Bdd.create ~nvars:pool_nvars () in
+    let dags =
+      List.map
+        (fun e ->
+          let f = build man e in
+          ignore (Bdd.band man f (Bdd.var man (perturb mod pool_nvars)) : Bdd.t);
+          Bdd.export man f)
+        pool
+    in
+    (dags, violation man, Bdd.unique_capacity man)
   in
-  (ctx, r)
+  let reference, ref_bad, ref_cap = export_pool ~perturb:0 () in
+  check "main-domain table canonical" true (ref_bad = None);
+  check "the pool grows the unique table" true (ref_cap > 4096);
+  let results =
+    Array.init ndomains (fun d -> Domain.spawn (export_pool ~perturb:(d + 1)))
+    |> Array.map Domain.join
+  in
+  Array.iteri
+    (fun d (dags, bad, _) ->
+      check (Printf.sprintf "domain %d table canonical" d) true (bad = None);
+      check (Printf.sprintf "domain %d DAGs agree with the main domain" d) true
+        (dags = reference))
+    results;
+  let man = Bdd.create ~nvars:pool_nvars () in
+  List.iteri
+    (fun i e ->
+      let f = Bdd.import man (List.nth reference i) in
+      for trial = 0 to 63 do
+        let env =
+          Array.init pool_nvars (fun v -> (Hashtbl.hash (i, trial) lsr v) land 1 = 1)
+        in
+        check "semantics" (eval_expr env e) (Bdd.eval man f env)
+      done)
+    pool
 
-let test_spcf_determinism algo () =
-  List.iter
-    (fun name -> same_result (run_spcf algo 1 name) (run_spcf algo 4 name))
-    circuits
+(* A manager may move between domains (the serve daemon runs every eco
+   job of a cached baseline under one lock, on whichever worker takes
+   it). Build the pool on the main domain, grow the manager past
+   several doublings on another, then rebuild on the main domain: the
+   same functions must come back as the same handles. *)
+let test_stable_across_growth () =
+  let man = Bdd.create ~nvars:pool_nvars () in
+  let before = List.map (build man) pool in
+  let cap0 = Bdd.unique_capacity man in
+  let grow () =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:400
+      (expr_gen ~nvars:pool_nvars ~size:60)
+    |> List.iter (fun e -> ignore (build man e : Bdd.t))
+  in
+  Domain.join (Domain.spawn grow);
+  check "table grew on the other domain" true (Bdd.unique_capacity man > cap0);
+  check "same handles after the hand-back" true (List.map (build man) pool = before);
+  check "table canonical" true (violation man = None)
 
-(* Downstream synthesis + verification must be unaffected by the worker
-   count: every verdict and every overhead figure matches. *)
-let test_synthesis_determinism () =
-  List.iter
-    (fun name ->
-      let net = Suite.load name in
-      let run jobs =
-        let options = { Masking.Synthesis.default_options with jobs } in
-        Masking.Verify.check (Masking.Synthesis.synthesize ~options net)
-      in
-      let r1 = run 1 and r4 = run 4 in
-      check (name ^ " equivalent") r1.Masking.Verify.equivalent
-        r4.Masking.Verify.equivalent;
-      check (name ^ " coverage_ok") r1.Masking.Verify.coverage_ok
-        r4.Masking.Verify.coverage_ok;
-      check (name ^ " prediction_ok") r1.Masking.Verify.prediction_ok
-        r4.Masking.Verify.prediction_ok;
-      check_int (name ^ " critical outputs") r1.Masking.Verify.critical_outputs
-        r4.Masking.Verify.critical_outputs;
-      check (name ^ " critical minterms") true
-        (Extfloat.equal r1.Masking.Verify.critical_minterms
-           r4.Masking.Verify.critical_minterms);
-      Alcotest.(check (float 1e-9))
-        (name ^ " area overhead") r1.Masking.Verify.area_overhead_pct
-        r4.Masking.Verify.area_overhead_pct;
-      Alcotest.(check (float 1e-9))
-        (name ^ " coverage pct") r1.Masking.Verify.coverage_pct
-        r4.Masking.Verify.coverage_pct)
-    circuits
-
-(* ---------- Observability composes with parallelism ---------- *)
-
-let c_late_calls = Obs.counter "spcf.lateness.calls"
-let c_late_memo = Obs.counter "spcf.lateness.memo_hits"
+(* ---------- Domains under collection ---------- *)
 
 let with_obs_collect f =
   Obs.set_enabled true;
@@ -147,95 +162,93 @@ let with_obs_collect f =
       Obs.set_enabled false)
     f
 
-(* Obs collection no longer forces the sequential path: with collection
-   enabled, worker snapshots merge into the main registry and the jobs
-   knob still must not change results. *)
-let test_obs_parallel_results () =
-  with_obs_collect (fun () ->
-      let c1, r1 = run_spcf `Short 1 "i1" in
-      let c4, r4 = run_spcf `Short 4 "i1" in
-      same_result (c1, r1) (c4, r4))
+let bdd_counters = [ "bdd.ite.calls"; "bdd.unique.inserts" ]
 
-(* The path-based algorithm uses a fresh lateness memo per output, so
-   its counters partition exactly over any round-robin assignment: the
-   merged totals under k workers must equal the sequential totals. *)
-let test_obs_merged_counters () =
+(* With collection on, each domain records into its own cells and ships
+   a snapshot back, as the serve workers do. Every domain builds the
+   same pool in a fresh private manager, so each must report exactly
+   the counters of one build on the main domain, the merged totals must
+   be their sum, and the DAGs must not change. *)
+let test_obs_private_managers ndomains () =
+  let build_pool () =
+    let man = Bdd.create ~nvars:pool_nvars () in
+    List.map (fun e -> Bdd.export man (build man e)) pool
+  in
+  let reference = build_pool () in
+  with_obs_collect (fun () ->
+      let counts () =
+        List.map (fun n -> (n, Option.value ~default:0 (List.assoc_opt n (Obs.registered_counters ()))))
+          bdd_counters
+      in
+      check "collection off leaves the DAGs alone" true (build_pool () = reference);
+      let once = counts () in
+      check "one build records BDD work" true (List.for_all (fun (_, v) -> v > 0) once);
+      Obs.reset ();
+      let results =
+        Array.init ndomains (fun _ ->
+            Domain.spawn (fun () ->
+                let dags = build_pool () in
+                (dags, Obs.export_snapshot ())))
+        |> Array.map Domain.join
+      in
+      Array.iteri
+        (fun d (dags, snap) ->
+          check (Printf.sprintf "domain %d DAGs agree" d) true (dags = reference);
+          Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (d + 1)) snap)
+        results;
+      let breakdown = Obs.domain_breakdown () in
+      Alcotest.(check int) "one breakdown entry per domain" ndomains (List.length breakdown);
+      List.iter
+        (fun (label, counters) ->
+          List.iter
+            (fun (n, v) ->
+              Alcotest.(check int) (label ^ " " ^ n) v
+                (Option.value ~default:0 (List.assoc_opt n counters)))
+            once)
+        breakdown;
+      List.iter2
+        (fun (n, v) (_, merged) -> Alcotest.(check int) ("merged " ^ n) (ndomains * v) merged)
+        once (counts ()))
+
+(* ---------- The jobs request member ---------- *)
+
+let circuits = [ "i1"; "cmb"; "x2" ]
+let circuit name = { Serve_jobs.spec = name; source = None }
+
+(* The spcf rendering reports its measured runtime; cut that field. *)
+let render run =
+  let buf = Buffer.create 1024 in
+  let code = run buf in
+  let mask l =
+    match Str.search_forward (Str.regexp_string "runtime:") l 0 with
+    | i -> String.sub l 0 i
+    | exception Not_found -> l
+  in
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.map mask |> String.concat "\n"
+  |> Printf.sprintf "exit %d\n%s" code
+
+let test_spcf_jobs algorithm () =
   List.iter
     (fun name ->
-      let totals jobs =
-        with_obs_collect (fun () ->
-            ignore (run_spcf `Path jobs name);
-            (Obs.counter_value c_late_calls, Obs.counter_value c_late_memo))
+      let run jobs buf =
+        Serve_jobs.run_spcf ~note:None buf Serve_jobs.load_entry (circuit name)
+          { Serve_jobs.s_theta = 0.9; s_algorithm = algorithm; s_jobs = jobs }
+          Budget.no_limits
       in
-      let calls1, memo1 = totals 1 in
-      check "sequential run recorded lateness calls" true (calls1 > 0);
-      List.iter
-        (fun jobs ->
-          let calls_k, memo_k = totals jobs in
-          check_int
-            (Printf.sprintf "%s lateness.calls jobs=%d" name jobs)
-            calls1 calls_k;
-          check_int
-            (Printf.sprintf "%s lateness.memo_hits jobs=%d" name jobs)
-            memo1 memo_k)
-        [ 2; 4; 8 ])
+      check_str (name ^ " jobs=4") (render (run 1)) (render (run 4)))
     circuits
 
-(* Worker snapshots land with per-domain attribution: a parallel run
-   must register at least one "worker N" breakdown entry whose counters
-   sum (with main's share) to the merged registry totals. *)
-let test_obs_domain_breakdown () =
-  with_obs_collect (fun () ->
-      ignore (run_spcf `Path 4 "x2");
-      let breakdown = Obs.domain_breakdown () in
-      check "has worker entries" true (List.length breakdown >= 1);
-      List.iter
-        (fun (label, _) ->
-          check (label ^ " labelled as worker") true
-            (String.length label >= 6 && String.sub label 0 6 = "worker"))
-        breakdown;
-      let workers_total =
-        List.fold_left
-          (fun acc (_, counters) ->
-            acc
-            + Option.value ~default:0
-                (List.assoc_opt "spcf.lateness.calls" counters))
-          0 breakdown
+let test_protect_jobs () =
+  List.iter
+    (fun name ->
+      let run jobs buf =
+        Serve_jobs.run_protect ~note:None buf Serve_jobs.load_entry (circuit name)
+          { Serve_jobs.m_theta = 0.9; m_jobs = jobs; m_prune = false }
+          Budget.no_limits
       in
-      (* Every lateness call happens inside a worker domain, so the
-         attribution must account for the full merged total. *)
-      check_int "breakdown accounts for all lateness calls"
-        (Obs.counter_value c_late_calls)
-        workers_total)
-
-(* The exported SPCF DAGs are a canonical, manager-independent encoding
-   (postorder over the ROBDD): for a fixed circuit they must be
-   byte-identical across every worker count, with collection enabled. *)
-let dag_bytes (ctx, (r : Spcf.Ctx.result)) =
-  r.Spcf.Ctx.outputs
-  |> List.map (fun (n, _, sigma) ->
-         let vars, lows, highs, root =
-           Spcf.Parallel.export ctx.Spcf.Ctx.man sigma
-         in
-         let pp a =
-           String.concat "," (List.map string_of_int (Array.to_list a))
-         in
-         Printf.sprintf "%s[%s;%s;%s;%d]" n (pp vars) (pp lows) (pp highs) root)
-  |> String.concat "|"
-
-let test_obs_dag_identical () =
-  with_obs_collect (fun () ->
-      List.iter
-        (fun name ->
-          let base = dag_bytes (run_spcf `Short 1 name) in
-          List.iter
-            (fun jobs ->
-              check_str
-                (Printf.sprintf "%s exported DAG jobs=%d" name jobs)
-                base
-                (dag_bytes (run_spcf `Short jobs name)))
-            [ 2; 4; 8 ])
-        circuits)
+      check_str (name ^ " jobs=4") (render (run 1)) (render (run 4)))
+    circuits
 
 (* Deterministic QCheck seeding (no wall-clock self-init): the state
    comes from Fuzz.Rng.qcheck_state, overridable via QCHECK_SEED. *)
@@ -247,24 +260,25 @@ let () =
   Alcotest.run "spcf-parallel"
     [
       qsuite "transport" [ prop_roundtrip; prop_roundtrip_same_manager ];
-      ( "determinism",
+      ( "hammer",
         [
-          Alcotest.test_case "short-path jobs=4 = jobs=1" `Quick
-            (test_spcf_determinism `Short);
-          Alcotest.test_case "path-based jobs=4 = jobs=1" `Quick
-            (test_spcf_determinism `Path);
-          Alcotest.test_case "synthesis jobs=4 = jobs=1" `Quick
-            test_synthesis_determinism;
+          Alcotest.test_case "2 domains" `Quick (test_hammer 2);
+          Alcotest.test_case "4 domains" `Quick (test_hammer 4);
+          Alcotest.test_case "8 domains" `Quick (test_hammer 8);
+          Alcotest.test_case "handles stable across growth" `Quick
+            test_stable_across_growth;
         ] );
       ( "observability",
         [
-          Alcotest.test_case "obs-enabled parallel results" `Quick
-            test_obs_parallel_results;
-          Alcotest.test_case "merged counters = sequential totals" `Quick
-            test_obs_merged_counters;
-          Alcotest.test_case "per-domain attribution" `Quick
-            test_obs_domain_breakdown;
-          Alcotest.test_case "exported DAGs byte-identical, jobs in {1,2,4,8}"
-            `Quick test_obs_dag_identical;
+          Alcotest.test_case "private managers, 4 domains" `Quick
+            (test_obs_private_managers 4);
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "short-path jobs=4 = jobs=1" `Quick
+            (test_spcf_jobs Spcf.Governed.Short_path);
+          Alcotest.test_case "path-based jobs=4 = jobs=1" `Quick
+            (test_spcf_jobs Spcf.Governed.Path_based);
+          Alcotest.test_case "synthesis jobs=4 = jobs=1" `Quick test_protect_jobs;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for static path-sensitization analysis: verdict correctness
    (cross-checked by the exhaustive sens-sim fuzz oracle), witness
-   validity, determinism across [jobs], budget soundness, diagnostic
+   validity, budget soundness, diagnostic
    integration, and the synthesis false-path pruning option. *)
 
 let check = Alcotest.(check bool)
@@ -81,17 +81,6 @@ let test_oracle_agreement () =
           | Fuzz.Oracle.Skip m -> Alcotest.failf "sens-sim skipped: %s" m)
         [ falsepath_src; allfalse_src ]
 
-let test_jobs_deterministic () =
-  let base = Sensitization.analyze ~band:0.35 ~jobs:1 (mapped allfalse_src) in
-  List.iter
-    (fun jobs ->
-      let r = Sensitization.analyze ~band:0.35 ~jobs (mapped allfalse_src) in
-      check
-        (Printf.sprintf "jobs=%d report identical" jobs)
-        true
-        ({ r with Sensitization.jobs = 1 } = base))
-    [ 2; 4; 8 ]
-
 let test_budget_unknown () =
   (* A starved budget must degrade to Unknown, never to a wrong
      True/False verdict, and must not tighten the delay bound. *)
@@ -159,7 +148,6 @@ let () =
         ] );
       ( "robustness",
         [
-          Alcotest.test_case "jobs deterministic" `Quick test_jobs_deterministic;
           Alcotest.test_case "budget unknown" `Quick test_budget_unknown;
         ] );
       ( "pruning",

@@ -1,6 +1,8 @@
 (* End-to-end tests of the emask serve daemon: served responses are
    byte-identical to the one-shot CLI across worker counts, repeated
-   circuits hit the LRU, saturation and budget exhaustion produce
+   circuits hit the LRU, an eco snapshot is charged its BDD heap,
+   concurrent eco jobs on one cached circuit stay byte-identical to
+   the one-shot CLI, saturation and budget exhaustion produce
    structured rejections, a client disconnect cancels the running job
    via its budget flag, hung clients are shed by the read timeout
    without taking the daemon down, and a disconnect while queued drops
@@ -200,6 +202,86 @@ let test_cache_hits () =
       check "snapshot reused" true
         (counter_value m "emask_serve_cache_snap_hits" >= 1))
 
+(* An eco snapshot is charged the heap of its BDD manager, so caching
+   one can push the LRU over --cache-mb: two loaded circuits fit in
+   1 MiB, but C880's baseline snapshot does not fit next to them, and
+   inserting it evicts the older circuit. *)
+let test_snapshot_charge_evicts () =
+  with_server ~args:[ "--jobs"; "1"; "--cache-mb"; "1" ] (fun sock ->
+      let c1, _, _ = run [ "client"; "spcf"; "cmb"; "--socket"; sock ] in
+      let c2, _, _ = run [ "client"; "spcf"; "C880"; "--socket"; sock ] in
+      check_int "spcf cmb" 0 c1;
+      check_int "spcf C880" 0 c2;
+      check_int "both circuits fit" 0
+        (counter_value (scrape sock) "emask_serve_cache_evictions");
+      let e, _, _ =
+        run [ "client"; "eco"; "C880"; "--edits"; "/dev/null"; "--socket"; sock ]
+      in
+      check_int "eco C880" 0 e;
+      let m = scrape sock in
+      check_int "the snapshot evicted the older circuit" 1
+        (counter_value m "emask_serve_cache_evictions");
+      let misses = counter_value m "emask_serve_cache_misses" in
+      let c3, _, _ = run [ "client"; "spcf"; "cmb"; "--socket"; sock ] in
+      check_int "spcf cmb again" 0 c3;
+      check_int "cmb was evicted" (misses + 1)
+        (counter_value (scrape sock) "emask_serve_cache_misses"))
+
+(* Eco jobs on one cached circuit share its baseline's BDD manager, a
+   single-domain structure that every recompute grows; the entry lock
+   is what makes that safe. Twelve eco requests with three edit
+   sequences on lsu_stb_ctl are all in flight at once against two
+   workers, and each must get exactly the one-shot rendering. *)
+let test_concurrent_eco () =
+  let edit_files =
+    List.map
+      (fun text ->
+        let f = Filename.temp_file "emask_edits" ".eco" in
+        Out_channel.with_open_text f (fun oc -> output_string oc text);
+        (f, text))
+      [ "# no edits\n"; "rewire g_AN3_2 0 pi0\n"; "rewire g_OR3_31 1 pi1\n" ]
+  in
+  let circuit = { Serve_jobs.spec = "lsu_stb_ctl"; source = None } in
+  let expected =
+    List.map
+      (fun (f, _) ->
+        let code, out, _ = run [ "eco"; "lsu_stb_ctl"; "--edits"; f ] in
+        check_int "one-shot eco exits 0" 0 code;
+        String.concat "\n" out ^ "\n")
+      edit_files
+  in
+  with_server ~args:[ "--jobs"; "2" ] (fun sock ->
+      let send (f, text) =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        Serve_protocol.send_request fd
+          (Serve_protocol.Eco
+             ( circuit,
+               {
+                 Serve_jobs.c_edits_name = f;
+                 c_edits = text;
+                 c_theta = 0.9;
+                 c_band = None;
+                 c_jobs = 1;
+                 c_json = false;
+                 c_check = false;
+               },
+               Budget.no_limits ));
+        fd
+      in
+      let inflight = List.concat_map (fun e -> List.init 4 (fun _ -> send e)) edit_files in
+      List.iteri
+        (fun i fd ->
+          let want = List.nth expected (i / 4) in
+          (match Serve_protocol.recv_response fd with
+          | Serve_protocol.Ok_output (code, got) ->
+            check_int (Printf.sprintf "request %d exit code" i) 0 code;
+            check_string (Printf.sprintf "request %d output" i) want got
+          | _ -> Alcotest.failf "request %d: expected an output response" i);
+          Unix.close fd)
+        inflight);
+  List.iter (fun (f, _) -> Sys.remove f) edit_files
+
 (* --- admission control ---------------------------------------------------- *)
 
 let test_queue_full () =
@@ -378,6 +460,8 @@ let () =
         [
           Alcotest.test_case "byte identity" `Slow test_byte_identity;
           Alcotest.test_case "cache hits" `Quick test_cache_hits;
+          Alcotest.test_case "snapshot charge evicts" `Quick test_snapshot_charge_evicts;
+          Alcotest.test_case "concurrent eco on one circuit" `Quick test_concurrent_eco;
           Alcotest.test_case "queue full" `Quick test_queue_full;
           Alcotest.test_case "budget exceeded" `Quick test_budget_exceeded;
           Alcotest.test_case "disconnect cancels" `Quick test_disconnect_cancels;
