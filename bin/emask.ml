@@ -11,6 +11,8 @@
      trace     trace-buffer window expansion report
      fuzz      property-based differential fuzzing of the whole stack
      report    diff the EMASK_LEDGER run ledger, incl. bench baselines
+     serve     the persistent analysis daemon
+     client    run one job against a daemon: emask client JOB CIRCUIT ...
 
    Every subcommand accepts --stats (print the instrumentation report:
    span tree, counters, histograms), --stats-json FILE (the same data
@@ -55,91 +57,50 @@ let circuit_arg =
   let doc = "Benchmark name (see $(b,emask list)) or path to a BLIF file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
-(* θ scales the critical-path delay into the speed-path target; a
-   value outside (0, 1] silently inverts the band, so it is an
-   argument error under the same policy as --jobs. *)
-let theta_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v <= 1. -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "THETA must lie in (0, 1], got %S" s))
+(* --- job parameters: the Serve_jobs tables as cmdliner terms -------------- *)
+
+(* A parameter domain as a converter. [what] names the value in the
+   one-line diagnostic: the upper-cased key for a job parameter (THETA,
+   BAND, ...), the flag for the other commands' options. A value
+   outside the domain is an argument error, never a silent fallback. *)
+let rec domain_conv : type a. string -> a Serve_jobs.domain -> a Arg.conv =
+ fun what d ->
+  let checked parse pp =
+    let parse s =
+      match parse s with
+      | Some v when Serve_jobs.valid d v -> Ok v
+      | _ -> Error (`Msg (Serve_jobs.out_of_domain ~what ~got:(Printf.sprintf "%S" s) d))
+    in
+    Arg.conv (parse, pp)
   in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+  let pp_float ppf v = Format.fprintf ppf "%g" v in
+  match d with
+  | Serve_jobs.Unit_interval -> checked float_of_string_opt pp_float
+  | Serve_jobs.Pos_float -> checked float_of_string_opt pp_float
+  | Serve_jobs.Pos_int -> checked int_of_string_opt Format.pp_print_int
+  | Serve_jobs.Flag -> Arg.bool
+  | Serve_jobs.Enum cases -> Arg.enum cases
+  | Serve_jobs.Opt d -> Arg.some (domain_conv what d)
 
-let theta_arg =
-  let doc = "Target arrival factor: speed-paths within (1-THETA) of the critical path delay." in
-  Arg.(value & opt theta_conv 0.9 & info [ "theta" ] ~docv:"THETA" ~doc)
+let arg : type r a. (r, a) Serve_jobs.param -> a Term.t =
+ fun p ->
+  let flag = String.map (function '_' -> '-' | c -> c) p.Serve_jobs.key in
+  let names = flag :: p.Serve_jobs.aliases in
+  let i = Arg.info names ~docv:p.Serve_jobs.docv ~doc:p.Serve_jobs.doc in
+  match p.Serve_jobs.domain with
+  | Serve_jobs.Flag -> Arg.(value & flag i)
+  | d ->
+    let what = String.uppercase_ascii p.Serve_jobs.key in
+    Arg.(value & opt (domain_conv what d) p.Serve_jobs.default i)
 
-let algorithm_arg =
-  let doc = "SPCF algorithm: short (proposed, exact), path (exact), node (over-approximate)." in
-  let algo_conv = Arg.enum [ ("short", `Short); ("path", `Path); ("node", `Node) ] in
-  Arg.(value & opt algo_conv `Short & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
+let rec params : type r a. (r, a) Serve_jobs.params -> a Term.t = function
+  | Serve_jobs.Return f -> Term.const f
+  | Serve_jobs.Field (t, p) -> Term.(params t $ arg p)
 
-(* A strictly positive integer argument: 0 or a negative value is an
-   argument error, not a silent fallback to some other mode. *)
-let pos_int_conv what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let pos_float_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v < infinity -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive number, got %S" what s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
-let jobs_arg =
-  let doc =
-    "For $(b,serve): worker domains, i.e. how many requests run at once \
-     (default: $(b,EMASK_JOBS), else the recommended domain count, capped at \
-     8). Elsewhere accepted for compatibility: N is validated and recorded in \
-     the ledger and eco JSON, but every analysis runs on one domain."
-  in
-  Arg.(
-    value
-    & opt (some (pos_int_conv "--jobs")) None
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let resolve_jobs = function Some n -> n | None -> Serve.auto_jobs ()
-
-(* --- resource budgets --------------------------------------------------- *)
-
-let timeout_arg =
-  let doc =
-    "Wall-clock budget in seconds (also \\$(b,EMASK_BUDGET_TIMEOUT)). On exhaustion \
-     the computation degrades tier by tier (exact SPCF, node-based SPCF, always-on \
-     masking) instead of running away; degradation is reported, never silent."
-  in
-  Arg.(
-    value
-    & opt (some (pos_float_conv "--timeout")) None
-    & info [ "timeout" ] ~docv:"SEC" ~doc)
-
-let max_nodes_arg =
-  let doc =
-    "BDD node quota per manager (also \\$(b,EMASK_BUDGET_MAX_NODES)). Same \
-     degradation ladder as $(b,--timeout)."
-  in
-  Arg.(
-    value
-    & opt (some (pos_int_conv "--max-nodes")) None
-    & info [ "max-nodes" ] ~docv:"N" ~doc)
-
-let budget_term = Term.(const (fun t n -> (t, n)) $ timeout_arg $ max_nodes_arg)
+let budget_term = params Serve_jobs.budget_params
 
 (* Flags take precedence; EMASK_BUDGET_* fills the gaps. *)
-let resolve_budget (timeout, max_nodes) =
-  Budget.merge
-    { Budget.timeout; max_nodes; max_ops = None; cancel_with = None }
-    (Budget.of_env ())
+let resolve_budget spec = Budget.merge spec (Budget.of_env ())
 
 let report_synthesis_degradation (m : Masking.Synthesis.t) =
   let buf = Buffer.create 128 in
@@ -226,184 +187,103 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the built-in benchmark suite")
     Term.(const list_run $ obs_term)
 
-(* --- lint --------------------------------------------------------------- *)
+(* --- jobs: lint, spcf, paths, protect, eco -------------------------------- *)
 
-let fail_on_arg =
+(* A job is a name, a doc line and a term that reads the CIRCUIT
+   argument and the job's flags. The term yields a thunk: the request
+   is built under [guarded], since reading a circuit or edits file or
+   EMASK_BUDGET_* can fail. The one-shot command and [emask client JOB]
+   share the term, so both take exactly the same flags. *)
+let job name doc make table =
+  ( name,
+    doc,
+    Term.(const (fun spec r () -> make (cli_circuit spec) r) $ circuit_arg $ params table)
+  )
+
+let budgeted name doc make table =
+  ( name,
+    doc,
+    Term.(
+      const (fun spec r b () -> make (cli_circuit spec) r (resolve_budget b))
+      $ circuit_arg $ params table $ budget_term) )
+
+let lint_job =
+  job "lint"
+    "Statically analyze a circuit: structural well-formedness (cycles, undriven and \
+     multiply-driven signals, dead cones, provable constants), STA consistency, and \
+     optionally the masking contract"
+    (fun c r -> Serve_protocol.Lint (c, r))
+    Serve_jobs.lint_params
+
+let spcf_job =
+  budgeted "spcf" "Compute the speed-path characteristic function"
+    (fun c r b -> Serve_protocol.Spcf (c, r, b))
+    Serve_jobs.spcf_params
+
+let paths_job =
+  budgeted "paths"
+    "Enumerate the near-critical structural paths and classify each as true \
+     (sensitizable, with a SAT witness pattern), false (no input pattern sensitizes \
+     it) or unknown (budget exhausted); reports the tightened functional delay bound \
+     per output"
+    (fun c r b -> Serve_protocol.Paths (c, r, b))
+    Serve_jobs.paths_params
+
+let protect_job =
+  budgeted "protect" "Synthesize and verify an error-masking circuit"
+    (fun c r b -> Serve_protocol.Protect (c, r, b))
+    Serve_jobs.protect_params
+
+let edits_arg =
   let doc =
-    "Severity that makes the exit status nonzero: $(b,error) (default; exit 2) or \
-     $(b,warning) (exit 1 on warnings, 2 on errors)."
+    "Edit-sequence file, one edit per line: $(b,replace), $(b,rewire), $(b,add), \
+     $(b,remove), $(b,add-output), $(b,drop-output); blank lines and $(b,#) \
+     comments are skipped. Fuzz $(b,.eco) repro files use this format."
   in
-  let sev_conv =
-    Arg.enum [ ("error", Analysis.Diag.Error); ("warning", Analysis.Diag.Warning) ]
-  in
-  Arg.(
-    value & opt sev_conv Analysis.Diag.Error & info [ "fail-on" ] ~docv:"SEVERITY" ~doc)
+  Arg.(required & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
 
-let json_arg =
-  let doc = "Emit the diagnostics as a JSON report on stdout instead of text." in
-  Arg.(value & flag & info [ "json" ] ~doc)
+let eco_job =
+  ( "eco",
+    "Apply an engineering-change-order edit sequence and incrementally re-derive the \
+     timing-error-masking analysis: only the dirty transitive-fanout cone is \
+     recomputed; node functions, per-output SPCFs, masking covers and sensitization \
+     verdicts outside the cone are reused from the baseline snapshot",
+    Term.(
+      const (fun spec file r b () ->
+          let edits = In_channel.with_open_bin file In_channel.input_all in
+          Serve_protocol.Eco (cli_circuit spec, r file edits, resolve_budget b))
+      $ circuit_arg $ edits_arg $ params Serve_jobs.eco_params $ budget_term) )
 
-let contract_arg =
-  let doc =
-    "Also synthesize the error-masking circuit and verify the paper's masking \
-     contract (mux insertion, non-intrusiveness, indicator soundness, the >= 20% \
-     timing-slack margin)."
-  in
-  Arg.(value & flag & info [ "contract" ] ~doc)
-
-(* Lint a circuit. BLIF files are first analyzed in raw form (the only
-   form in which cycles and undriven/multiply-driven signals are even
-   representable); if the source passes the error-level checks it is
-   elaborated and the semantic + timing passes run on the mapped
-   realization. Suite circuits skip the source stage. *)
-let lint_run obs spec fail_on json contract theta jobs =
+(* The one-shot body of every job: run it on a cold load, print the
+   buffer, exit with the code. *)
+let oneshot_run name obs out request =
   let code =
     guarded @@ fun () ->
-    with_obs obs "lint" @@ fun () ->
+    with_obs obs name @@ fun () ->
+    let note = cli_note () and lookup = Serve_jobs.load_entry in
     let buf = Buffer.create 1024 in
     let code =
-      Serve_jobs.run_lint ~note:(cli_note ()) buf (cli_circuit spec)
-        {
-          Serve_jobs.l_fail_on = fail_on;
-          l_json = json;
-          l_contract = contract;
-          l_theta = theta;
-          l_jobs = resolve_jobs jobs;
-        }
+      match request () with
+      | Serve_protocol.Lint (c, r) -> Serve_jobs.run_lint ~note buf c r
+      | Serve_protocol.Spcf (c, r, b) -> Serve_jobs.run_spcf ~note buf lookup c r b
+      | Serve_protocol.Paths (c, r, b) -> Serve_jobs.run_paths ~note buf lookup c r b
+      | Serve_protocol.Protect (c, r, b) ->
+        Serve_jobs.run_protect ~note ?out buf lookup c r b
+      | Serve_protocol.Eco (c, r, b) -> Serve_jobs.run_eco ~note buf lookup c r b
+      | Serve_protocol.Ping _ | Serve_protocol.Metrics | Serve_protocol.Shutdown ->
+        invalid_arg "oneshot_run"
     in
     print_string (Buffer.contents buf);
     code
   in
   if code <> 0 then exit code
 
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically analyze a circuit: structural well-formedness (cycles, \
-          undriven and multiply-driven signals, dead cones, provable constants), \
-          STA consistency, and optionally the masking contract")
-    Term.(
-      const lint_run $ obs_term $ circuit_arg $ fail_on_arg $ json_arg $ contract_arg
-      $ theta_arg $ jobs_arg)
-
-let spcf_run obs spec theta algo jobs bflags =
-  guarded @@ fun () ->
-  with_obs obs "spcf" @@ fun () ->
-  let algorithm =
-    match algo with
-    | `Short -> Spcf.Governed.Short_path
-    | `Path -> Spcf.Governed.Path_based
-    | `Node -> Spcf.Governed.Node_based
-  in
-  let buf = Buffer.create 1024 in
-  let (_ : int) =
-    Serve_jobs.run_spcf ~note:(cli_note ()) buf Serve_jobs.load_entry
-      (cli_circuit spec)
-      { Serve_jobs.s_theta = theta; s_algorithm = algorithm; s_jobs = resolve_jobs jobs }
-      (resolve_budget bflags)
-  in
-  print_string (Buffer.contents buf)
-
-let spcf_cmd =
-  Cmd.v
-    (Cmd.info "spcf" ~doc:"Compute the speed-path characteristic function")
-    Term.(
-      const spcf_run $ obs_term $ circuit_arg $ theta_arg $ algorithm_arg $ jobs_arg
-      $ budget_term)
-
-let protect_run obs spec theta jobs prune out bflags =
-  guarded @@ fun () ->
-  with_obs obs "protect" @@ fun () ->
-  let buf = Buffer.create 1024 in
-  let (_ : int) =
-    Serve_jobs.run_protect ~note:(cli_note ()) ?out buf Serve_jobs.load_entry
-      (cli_circuit spec)
-      { Serve_jobs.m_theta = theta; m_jobs = resolve_jobs jobs; m_prune = prune }
-      (resolve_budget bflags)
-  in
-  print_string (Buffer.contents buf)
+let oneshot_cmd ?(out = Term.const None) (cmd, doc, term) =
+  Cmd.v (Cmd.info cmd ~doc) Term.(const (oneshot_run cmd) $ obs_term $ out $ term)
 
 let out_arg =
   let doc = "Write the combined (protected) circuit as BLIF to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-
-let prune_arg =
-  let doc =
-    "Drop a critical output from the masking cover when every near-critical path \
-     to it is provably false and its SPCF is empty (see $(b,emask paths)); the \
-     indicator shrinks, the soundness interval is preserved and re-verified."
-  in
-  Arg.(value & flag & info [ "prune-false-paths" ] ~doc)
-
-let protect_cmd =
-  Cmd.v
-    (Cmd.info "protect" ~doc:"Synthesize and verify an error-masking circuit")
-    Term.(
-      const protect_run $ obs_term $ circuit_arg $ theta_arg $ jobs_arg $ prune_arg
-      $ out_arg $ budget_term)
-
-(* --- paths: sensitization analysis of the near-critical band ------------ *)
-
-(* Same converter discipline as --theta/--jobs: a band of 0 classifies
-   nothing and one above 1 silently clamps, so both are argument errors
-   (one-line diagnostic, exit 2), not silent near-no-ops. *)
-let band_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v <= 1. -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "BAND must lie in (0, 1], got %S" s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
-let band_arg =
-  let doc =
-    "Near-critical band: classify every structural path longer than \
-     (1-BAND) * Delta."
-  in
-  Arg.(value & opt band_conv 0.1 & info [ "band" ] ~docv:"F" ~doc)
-
-let max_paths_arg =
-  let doc = "Stop enumerating after $(docv) paths (the report is marked truncated)." in
-  Arg.(
-    value
-    & opt (pos_int_conv "--max-paths") 4096
-    & info [ "max-paths" ] ~docv:"N" ~doc)
-
-let paths_run obs spec band max_paths jobs json fail_on bflags =
-  let code =
-    guarded @@ fun () ->
-    with_obs obs "paths" @@ fun () ->
-    let buf = Buffer.create 1024 in
-    let code =
-      Serve_jobs.run_paths ~note:(cli_note ()) buf Serve_jobs.load_entry
-        (cli_circuit spec)
-        {
-          Serve_jobs.p_band = band;
-          p_max_paths = max_paths;
-          p_jobs = resolve_jobs jobs;
-          p_json = json;
-          p_fail_on = fail_on;
-        }
-        (resolve_budget bflags)
-    in
-    print_string (Buffer.contents buf);
-    code
-  in
-  if code <> 0 then exit code
-
-let paths_cmd =
-  Cmd.v
-    (Cmd.info "paths"
-       ~doc:
-         "Enumerate the near-critical structural paths and classify each as true \
-          (sensitizable, with a SAT witness pattern), false (no input pattern \
-          sensitizes it) or unknown (budget exhausted); reports the tightened \
-          functional delay bound per output")
-    Term.(
-      const paths_run $ obs_term $ circuit_arg $ band_arg $ max_paths_arg $ jobs_arg
-      $ json_arg $ fail_on_arg $ budget_term)
 
 let wearout_run obs spec trials bflags =
   guarded @@ fun () ->
@@ -455,75 +335,6 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Trace-buffer window expansion via selective capture")
     Term.(const trace_run $ obs_term $ circuit_arg $ buffer_arg $ cycles_arg)
 
-(* --- eco: incremental recompute after an engineering change order ------- *)
-
-let edits_arg =
-  let doc =
-    "Edit-sequence file, one edit per line: $(b,replace), $(b,rewire), $(b,add), \
-     $(b,remove), $(b,add-output), $(b,drop-output); blank lines and $(b,#) \
-     comments are skipped. Fuzz $(b,.eco) repro files use this format."
-  in
-  Arg.(required & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
-
-let eco_band_arg =
-  let doc =
-    "Also carry sensitization verdicts for the near-critical band (same semantics \
-     as $(b,emask paths --band)); verdicts on paths through clean outputs are \
-     reused from the baseline."
-  in
-  Arg.(value & opt (some band_conv) None & info [ "band" ] ~docv:"F" ~doc)
-
-let check_arg =
-  let doc =
-    "Cross-check the incremental result against a full from-scratch analysis of \
-     the edited design: the canonical forms must be byte-identical (exit 1 \
-     otherwise). This is the $(b,eco-equal) oracle on the given edit sequence."
-  in
-  Arg.(value & flag & info [ "check" ] ~doc)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let eco_run obs spec edits_file theta band jobs json check bflags =
-  let code =
-    guarded @@ fun () ->
-    with_obs obs "eco" @@ fun () ->
-    let buf = Buffer.create 1024 in
-    let code =
-      Serve_jobs.run_eco ~note:(cli_note ()) buf Serve_jobs.load_entry
-        (cli_circuit spec)
-        {
-          Serve_jobs.c_edits_name = edits_file;
-          c_edits = read_file edits_file;
-          c_theta = theta;
-          c_band = band;
-          c_jobs = resolve_jobs jobs;
-          c_json = json;
-          c_check = check;
-        }
-        (resolve_budget bflags)
-    in
-    print_string (Buffer.contents buf);
-    code
-  in
-  if code <> 0 then exit code
-
-let eco_cmd =
-  Cmd.v
-    (Cmd.info "eco"
-       ~doc:
-         "Apply an engineering-change-order edit sequence and incrementally \
-          re-derive the timing-error-masking analysis: only the dirty \
-          transitive-fanout cone is recomputed; node functions, per-output SPCFs, \
-          masking covers and sensitization verdicts outside the cone are reused \
-          from the baseline snapshot")
-    Term.(
-      const eco_run $ obs_term $ circuit_arg $ edits_arg $ theta_arg $ eco_band_arg
-      $ jobs_arg $ json_arg $ check_arg $ budget_term)
-
 (* --- fuzz --------------------------------------------------------------- *)
 
 let seed_arg =
@@ -541,7 +352,7 @@ let time_budget_arg =
   let doc = "Deprecated alias for $(b,--timeout)." in
   Arg.(
     value
-    & opt (some (pos_float_conv "--time-budget")) None
+    & opt (some (domain_conv "--time-budget" Serve_jobs.Pos_float)) None
     & info [ "time-budget" ] ~docv:"S" ~doc)
 
 let oracle_arg =
@@ -579,9 +390,9 @@ let fuzz_run obs seed count time_budget oracle shrink out bflags =
     in
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
     let budget =
-      let timeout, max_nodes = bflags in
-      let timeout = match timeout with Some _ -> timeout | None -> time_budget in
-      resolve_budget (timeout, max_nodes)
+      match bflags.Budget.timeout with
+      | Some _ -> resolve_budget bflags
+      | None -> resolve_budget { bflags with Budget.timeout = time_budget }
     in
     let config =
       {
@@ -823,7 +634,10 @@ let against_arg =
    report. *)
 let last_arg =
   let doc = "Only consider the most recent $(docv) ledger records." in
-  Arg.(value & opt (pos_int_conv "--last") 50 & info [ "last" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (domain_conv "--last" Serve_jobs.Pos_int) 50
+    & info [ "last" ] ~docv:"N" ~doc)
 
 let report_cmd =
   Cmd.v
@@ -859,14 +673,20 @@ let queue_arg =
     "Admission-queue bound: a request arriving with $(docv) jobs already queued \
      is rejected immediately with a QUEUE001 diagnostic, never parked."
   in
-  Arg.(value & opt (pos_int_conv "--queue") 16 & info [ "queue" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (domain_conv "--queue" Serve_jobs.Pos_int) 16
+    & info [ "queue" ] ~docv:"N" ~doc)
 
 let cache_mb_arg =
   let doc =
     "Approximate capacity of the parsed/mapped circuit LRU in MiB (eco baseline \
      snapshots are cached per circuit, theta and band)."
   in
-  Arg.(value & opt (pos_int_conv "--cache-mb") 256 & info [ "cache-mb" ] ~docv:"MIB" ~doc)
+  Arg.(
+    value
+    & opt (domain_conv "--cache-mb" Serve_jobs.Pos_int) 256
+    & info [ "cache-mb" ] ~docv:"MIB" ~doc)
 
 let serve_ledger_arg =
   let doc =
@@ -885,12 +705,22 @@ let read_timeout_arg =
   in
   Arg.(
     value
-    & opt (pos_float_conv "--read-timeout") 10.
+    & opt (domain_conv "--read-timeout" Serve_jobs.Pos_float) 10.
     & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
 
 let verbose_arg =
   let doc = "Log lifecycle events to stderr." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
+
+let serve_jobs_arg =
+  let doc =
+    "Worker domains, i.e. how many requests run at once (default: $(b,EMASK_JOBS), \
+     else the recommended domain count, capped at 8)."
+  in
+  Arg.(
+    value
+    & opt (some (domain_conv "--jobs" Serve_jobs.Pos_int)) None
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let serve_run port socket jobs queue cache_mb ledger read_timeout verbose bflags =
   guarded @@ fun () ->
@@ -902,7 +732,7 @@ let serve_run port socket jobs queue cache_mb ledger read_timeout verbose bflags
   let config =
     {
       Serve.bind;
-      jobs = resolve_jobs jobs;
+      jobs = (match jobs with Some n -> n | None -> Serve.auto_jobs ());
       queue_cap = queue;
       cache_mb;
       default_budget = resolve_budget bflags;
@@ -928,123 +758,30 @@ let serve_cmd =
           Prometheus /metrics endpoint; responses are byte-identical to the \
           one-shot CLI")
     Term.(
-      const serve_run $ port_arg $ socket_arg $ jobs_arg $ queue_arg $ cache_mb_arg
+      const serve_run $ port_arg $ socket_arg $ serve_jobs_arg $ queue_arg $ cache_mb_arg
       $ serve_ledger_arg $ read_timeout_arg $ verbose_arg $ budget_term)
 
-(* --- client -------------------------------------------------------------- *)
-
-let job_arg =
-  let doc =
-    "Job to run: $(b,lint), $(b,spcf), $(b,paths), $(b,protect), $(b,eco), \
-     $(b,ping), $(b,metrics) or $(b,shutdown)."
-  in
-  let job_conv =
-    Arg.enum
-      [
-        ("lint", `Lint); ("spcf", `Spcf); ("paths", `Paths); ("protect", `Protect);
-        ("eco", `Eco); ("ping", `Ping); ("metrics", `Metrics);
-        ("shutdown", `Shutdown);
-      ]
-  in
-  Arg.(required & pos 0 (some job_conv) None & info [] ~docv:"JOB" ~doc)
-
-let client_circuit_arg =
-  let doc = "Benchmark name or path to a BLIF file (shipped inline)." in
-  Arg.(value & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
+(* --- client: one subcommand per job, the one-shot job terms ------------- *)
 
 let host_arg =
   let doc = "Daemon host." in
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
 
-let client_edits_arg =
-  let doc = "Edit-sequence file for $(b,eco) jobs (read locally, shipped inline)." in
-  Arg.(value & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
-
-let client_band_arg =
-  let doc = "Near-critical band for $(b,paths) / $(b,eco) jobs." in
-  Arg.(value & opt (some band_conv) None & info [ "band" ] ~docv:"F" ~doc)
+let endpoint_term =
+  Term.(
+    const (fun socket host port ->
+        match socket with
+        | Some path -> Serve_client.Unix_sock path
+        | None -> Serve_client.Tcp (host, port))
+    $ socket_arg $ host_arg $ port_arg)
 
 let delay_arg =
   let doc = "Seconds a $(b,ping) job holds a worker (a test/diagnostic aid)." in
   Arg.(value & opt float 0. & info [ "delay" ] ~docv:"SEC" ~doc)
 
-let client_run socket host port job spec theta algo band max_paths jobs json
-    contract fail_on prune edits check delay bflags =
+let client_run endpoint request =
   guarded @@ fun () ->
-  let endpoint =
-    match socket with
-    | Some path -> Serve_client.Unix_sock path
-    | None -> Serve_client.Tcp (host, port)
-  in
-  let circuit () =
-    match spec with
-    | Some sp -> Serve_client.circuit_of_spec sp
-    | None -> cli_error "CLI001" "this job needs a CIRCUIT argument"
-  in
-  let jobs = resolve_jobs jobs in
-  let bspec = resolve_budget bflags in
-  let req =
-    match job with
-    | `Lint ->
-      Serve_protocol.Lint
-        ( circuit (),
-          {
-            Serve_jobs.l_fail_on = fail_on;
-            l_json = json;
-            l_contract = contract;
-            l_theta = theta;
-            l_jobs = jobs;
-          } )
-    | `Spcf ->
-      let algorithm =
-        match algo with
-        | `Short -> Spcf.Governed.Short_path
-        | `Path -> Spcf.Governed.Path_based
-        | `Node -> Spcf.Governed.Node_based
-      in
-      Serve_protocol.Spcf
-        ( circuit (),
-          { Serve_jobs.s_theta = theta; s_algorithm = algorithm; s_jobs = jobs },
-          bspec )
-    | `Paths ->
-      Serve_protocol.Paths
-        ( circuit (),
-          {
-            Serve_jobs.p_band = Option.value ~default:0.1 band;
-            p_max_paths = max_paths;
-            p_jobs = jobs;
-            p_json = json;
-            p_fail_on = fail_on;
-          },
-          bspec )
-    | `Protect ->
-      Serve_protocol.Protect
-        ( circuit (),
-          { Serve_jobs.m_theta = theta; m_jobs = jobs; m_prune = prune },
-          bspec )
-    | `Eco ->
-      let edits_file =
-        match edits with
-        | Some path -> path
-        | None -> cli_error "CLI001" "eco jobs need --edits FILE"
-      in
-      Serve_protocol.Eco
-        ( circuit (),
-          {
-            Serve_jobs.c_edits_name = edits_file;
-            c_edits = read_file edits_file;
-            c_theta = theta;
-            c_band = band;
-            c_jobs = jobs;
-            c_json = json;
-            c_check = check;
-          },
-          bspec )
-    | `Ping -> Serve_protocol.Ping delay
-    | `Metrics -> Serve_protocol.Metrics
-    | `Shutdown -> Serve_protocol.Shutdown
-  in
-  match Serve_client.roundtrip endpoint req with
+  match Serve_client.roundtrip endpoint (request ()) with
   | Serve_protocol.Ok_output (code, output) ->
     print_string output;
     if code <> 0 then exit code
@@ -1052,16 +789,25 @@ let client_run socket host port job spec theta algo band max_paths jobs json
     cli_error code msg
 
 let client_cmd =
-  Cmd.v
+  let sub (name, doc, term) =
+    Cmd.v (Cmd.info name ~doc) Term.(const client_run $ endpoint_term $ term)
+  in
+  let fixed name doc req = (name, doc, Term.const (fun () -> req)) in
+  Cmd.group
     (Cmd.info "client"
        ~doc:
          "Run one job against a running $(b,emask serve) daemon; output and exit \
           code match the equivalent one-shot invocation")
-    Term.(
-      const client_run $ socket_arg $ host_arg $ port_arg $ job_arg
-      $ client_circuit_arg $ theta_arg $ algorithm_arg $ client_band_arg
-      $ max_paths_arg $ jobs_arg $ json_arg $ contract_arg $ fail_on_arg $ prune_arg
-      $ client_edits_arg $ check_arg $ delay_arg $ budget_term)
+    (List.map sub
+       [
+         lint_job; spcf_job; paths_job; protect_job; eco_job;
+         ( "ping",
+           "Hold a worker for $(b,--delay) seconds, then answer pong",
+           Term.(const (fun d () -> Serve_protocol.Ping d) $ delay_arg) );
+         fixed "metrics" "Print the daemon's /metrics exposition" Serve_protocol.Metrics;
+         fixed "shutdown" "Stop accepting, drain the workers and exit"
+           Serve_protocol.Shutdown;
+       ])
 
 let () =
   let info =
@@ -1072,6 +818,11 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; lint_cmd; spcf_cmd; paths_cmd; protect_cmd; eco_cmd;
+            list_cmd;
+            oneshot_cmd lint_job;
+            oneshot_cmd spcf_job;
+            oneshot_cmd paths_job;
+            oneshot_cmd ~out:out_arg protect_job;
+            oneshot_cmd eco_job;
             wearout_cmd; trace_cmd; fuzz_cmd; report_cmd; serve_cmd; client_cmd;
           ]))

@@ -19,15 +19,17 @@ let truth_mask cover =
   done;
   !mask
 
+(* Built eagerly and only read afterwards: the serve worker domains map
+   circuits concurrently, and two domains forcing one lazy value at
+   once raise [CamlinternalLazy.Undefined]. *)
 let cell_matches =
-  lazy
-    (let tbl = Hashtbl.create 64 in
-     List.iter
-       (fun c ->
-         if c.Cell.arity <= 4 && c.Cell.cname <> "B1" then
-           Hashtbl.replace tbl (c.Cell.arity, truth_mask c.Cell.logic) c)
-       Cell.all;
-     tbl)
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      if c.Cell.arity <= 4 && c.Cell.cname <> "B1" then
+        Hashtbl.replace tbl (c.Cell.arity, truth_mask c.Cell.logic) c)
+    Cell.all;
+  tbl
 
 (* Split [n] items into ceil(n/4) groups of nearly equal size (2..4, or a
    single passthrough), for balanced tree reduction. *)
@@ -113,7 +115,7 @@ let map_cover ctx cover fanin_signals =
   else begin
     let direct =
       if arity >= 1 && arity <= 4 then
-        Hashtbl.find_opt (Lazy.force cell_matches) (arity, truth_mask cover)
+        Hashtbl.find_opt cell_matches (arity, truth_mask cover)
       else None
     in
     match direct with

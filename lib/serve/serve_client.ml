@@ -9,34 +9,33 @@
 
 type endpoint = Unix_sock of string | Tcp of string * int
 
-let connect = function
-  | Unix_sock path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with Unix.Unix_error (e, _, _) ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise
-         (Sys_error
-            (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e))));
-    fd
-  | Tcp (host, port) ->
-    let addr =
-      try
-        (List.hd
-           (Unix.getaddrinfo host (string_of_int port)
-              [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]))
-          .Unix.ai_addr
-      with Failure _ -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-    in
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd addr
-     with Unix.Unix_error (e, _, _) ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise
-         (Sys_error
-            (Printf.sprintf "cannot connect to %s:%d: %s" host port
-               (Unix.error_message e))));
-    fd
+let name = function
+  | Unix_sock path -> path
+  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+
+let connect endpoint =
+  let fd, addr =
+    match endpoint with
+    | Unix_sock path -> (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
+    | Tcp (host, port) ->
+      let addr =
+        try
+          (List.hd
+             (Unix.getaddrinfo host (string_of_int port)
+                [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]))
+            .Unix.ai_addr
+        with Failure _ -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
+      in
+      (Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0, addr)
+  in
+  (try Unix.connect fd addr
+   with Unix.Unix_error (e, _, _) ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise
+       (Sys_error
+          (Printf.sprintf "cannot connect to %s: %s" (name endpoint)
+             (Unix.error_message e))));
+  fd
 
 let read_file path =
   let ic = open_in_bin path in
@@ -51,11 +50,23 @@ let circuit_of_spec spec =
     { Serve_jobs.spec; source = Some (read_file spec) }
   else { Serve_jobs.spec; source = None }
 
-(* One round trip. The caller still owns rendering the response. *)
+(* One round trip. The caller still owns rendering the response. A
+   daemon that goes away mid-exchange is an I/O failure like one that
+   cannot be reached: SIGPIPE is ignored, so a write to a closed socket
+   is an EPIPE error rather than a silent death, and every socket or
+   framing failure becomes a [Sys_error] naming the endpoint. *)
 let roundtrip endpoint req =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = connect endpoint in
+  let failed msg =
+    raise (Sys_error (Printf.sprintf "request to %s failed: %s" (name endpoint) msg))
+  in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Serve_protocol.send_request fd req;
-      Serve_protocol.recv_response fd)
+      try
+        Serve_protocol.send_request fd req;
+        Serve_protocol.recv_response fd
+      with
+      | Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
+      | Serve_protocol.Protocol_error msg -> failed msg)

@@ -13,5 +13,6 @@ val circuit_of_spec : string -> Serve_jobs.circuit
     suite-circuit name the daemon resolves. *)
 
 val roundtrip : endpoint -> Serve_protocol.request -> Serve_protocol.response
-(** Connect, send, receive, close. Protocol failures raise
-    {!Serve_protocol.Protocol_error}. *)
+(** Connect, send, receive, close. Ignores SIGPIPE for the process. A
+    connection the daemon drops or resets, and a malformed response,
+    raise [Sys_error] (IO001), like an unreachable daemon. *)

@@ -72,6 +72,98 @@ let note_run note ~theta ~jobs =
   put note "theta" (Obs_json.Float theta);
   put note "jobs" (Obs_json.Int jobs)
 
+(* --- job parameters ------------------------------------------------------ *)
+
+(* Each job's parameters are written down once, in the table next to
+   its request record below. The wire codec ([Serve_protocol]) and the
+   one-shot and client CLI terms ([bin/emask.ml]) are interpreters of
+   these tables, so the three cannot disagree on a key, a default or a
+   domain. A wire key is its CLI flag with '_' for '-'. *)
+
+type _ domain =
+  | Unit_interval : float domain
+  | Pos_int : int domain
+  | Pos_float : float domain
+  | Flag : bool domain
+  | Enum : (string * 'a) list -> 'a domain
+  | Opt : 'a domain -> 'a option domain
+
+let rec valid : type a. a domain -> a -> bool = function
+  | Unit_interval -> fun v -> v > 0. && v <= 1.
+  | Pos_int -> fun n -> n >= 1
+  | Pos_float -> fun v -> v > 0. && v < infinity
+  | Flag -> fun _ -> true
+  | Enum _ -> fun _ -> true
+  | Opt d -> ( function None -> true | Some v -> valid d v)
+
+let rec must : type a. a domain -> string = function
+  | Unit_interval -> "must lie in (0, 1]"
+  | Pos_int -> "must be a positive integer"
+  | Pos_float -> "must be a positive number"
+  | Flag -> "must be true or false"
+  | Enum cases -> "must be one of " ^ String.concat ", " (List.map fst cases)
+  | Opt d -> must d
+
+let out_of_domain ~what ~got d = Printf.sprintf "%s %s, got %s" what (must d) got
+
+type ('r, 'a) param = {
+  key : string;
+  aliases : string list;
+  docv : string;
+  doc : string;
+  domain : 'a domain;
+  default : 'a;
+  get : 'r -> 'a;
+}
+
+type ('r, 'a) params =
+  | Return : 'a -> ('r, 'a) params
+  | Field : ('r, 'b -> 'a) params * ('r, 'b) param -> ('r, 'a) params
+
+let ( +> ) t p = Field (t, p)
+
+let param ?(aliases = []) key docv domain default doc get =
+  { key; aliases; docv; doc; domain; default; get }
+
+let flag key doc get = param key "" Flag false doc get
+
+let theta get =
+  param "theta" "THETA" Unit_interval 0.9
+    "Target arrival factor: speed-paths within (1-THETA) of the critical path delay."
+    get
+
+let jobs get =
+  param ~aliases:[ "j" ] "jobs" "N" Pos_int 1
+    "Accepted for compatibility: $(docv) is validated and recorded in the ledger and \
+     eco JSON, but every analysis runs on one domain. (The worker count of $(b,emask \
+     serve) is its own $(b,--jobs).)"
+    get
+
+let json get =
+  flag "json" "Emit the diagnostics as a JSON report on stdout instead of text." get
+
+let fail_on get =
+  param "fail_on" "SEVERITY"
+    (Enum [ ("error", Analysis.Diag.Error); ("warning", Analysis.Diag.Warning) ])
+    Analysis.Diag.Error
+    "Severity that makes the exit status nonzero: $(b,error) (default; exit 2) or \
+     $(b,warning) (exit 1 on warnings, 2 on errors)."
+    get
+
+let budget_params =
+  Return
+    (fun timeout max_nodes ->
+      { Budget.timeout; max_nodes; max_ops = None; cancel_with = None })
+  +> param "timeout" "SEC" (Opt Pos_float) None
+       "Wall-clock budget in seconds (also \\$(b,EMASK_BUDGET_TIMEOUT)). On exhaustion \
+        the computation degrades tier by tier (exact SPCF, node-based SPCF, always-on \
+        masking) instead of running away; degradation is reported, never silent."
+       (fun b -> b.Budget.timeout)
+  +> param "max_nodes" "N" (Opt Pos_int) None
+       "BDD node quota per manager (also \\$(b,EMASK_BUDGET_MAX_NODES)). Same \
+        degradation ladder as $(b,--timeout)."
+       (fun b -> b.Budget.max_nodes)
+
 (* --- budget-degradation reporting --------------------------------------- *)
 
 let pp_reasons attempts =
@@ -110,6 +202,20 @@ type lint_req = {
   l_theta : float;
   l_jobs : int;
 }
+
+let lint_params =
+  Return
+    (fun l_fail_on l_json l_contract l_theta l_jobs ->
+      { l_fail_on; l_json; l_contract; l_theta; l_jobs })
+  +> fail_on (fun r -> r.l_fail_on)
+  +> json (fun r -> r.l_json)
+  +> flag "contract"
+       "Also synthesize the error-masking circuit and verify the paper's masking \
+        contract (mux insertion, non-intrusiveness, indicator soundness, the >= 20% \
+        timing-slack margin)."
+       (fun r -> r.l_contract)
+  +> theta (fun r -> r.l_theta)
+  +> jobs (fun r -> r.l_jobs)
 
 (* Lint a circuit. Inline/file sources are first analyzed in raw form
    (the only form in which cycles and undriven/multiply-driven signals
@@ -176,6 +282,21 @@ type spcf_req = {
   s_jobs : int;
 }
 
+let spcf_params =
+  Return (fun s_theta s_algorithm s_jobs -> { s_theta; s_algorithm; s_jobs })
+  +> theta (fun r -> r.s_theta)
+  +> param ~aliases:[ "a" ] "algorithm" "ALGO"
+       (Enum
+          [
+            ("short", Spcf.Governed.Short_path);
+            ("path", Spcf.Governed.Path_based);
+            ("node", Spcf.Governed.Node_based);
+          ])
+       Spcf.Governed.Short_path
+       "SPCF algorithm: short (proposed, exact), path (exact), node (over-approximate)."
+       (fun r -> r.s_algorithm)
+  +> jobs (fun r -> r.s_jobs)
+
 let run_spcf ~note buf (lookup : lookup) (c : circuit) (r : spcf_req)
     (bspec : Budget.spec) =
   let entry = lookup c in
@@ -217,6 +338,23 @@ type paths_req = {
   p_json : bool;
   p_fail_on : Analysis.Diag.severity;
 }
+
+(* A band of 0 classifies nothing and one above 1 silently clamps, so
+   both lie outside the domain. *)
+let paths_params =
+  Return
+    (fun p_band p_max_paths p_jobs p_json p_fail_on ->
+      { p_band; p_max_paths; p_jobs; p_json; p_fail_on })
+  +> param "band" "F" Unit_interval 0.1
+       "Near-critical band: classify every structural path longer than (1-BAND) * \
+        Delta."
+       (fun r -> r.p_band)
+  +> param "max_paths" "N" Pos_int 4096
+       "Stop enumerating after $(docv) paths (the report is marked truncated)."
+       (fun r -> r.p_max_paths)
+  +> jobs (fun r -> r.p_jobs)
+  +> json (fun r -> r.p_json)
+  +> fail_on (fun r -> r.p_fail_on)
 
 (* A witness pattern as "a=1 b=0 ..." over the primary-input names. *)
 let pp_witness mnet w =
@@ -349,6 +487,16 @@ let run_paths ~note buf (lookup : lookup) (c : circuit) (r : paths_req)
 
 type protect_req = { m_theta : float; m_jobs : int; m_prune : bool }
 
+let protect_params =
+  Return (fun m_theta m_jobs m_prune -> { m_theta; m_jobs; m_prune })
+  +> theta (fun r -> r.m_theta)
+  +> jobs (fun r -> r.m_jobs)
+  +> flag "prune_false_paths"
+       "Drop a critical output from the masking cover when every near-critical path \
+        to it is provably false and its SPCF is empty (see $(b,emask paths)); the \
+        indicator shrinks, the soundness interval is preserved and re-verified."
+       (fun r -> r.m_prune)
+
 let run_protect ~note ?out buf (lookup : lookup) (c : circuit) (r : protect_req)
     (bspec : Budget.spec) =
   let entry = lookup c in
@@ -394,6 +542,27 @@ type eco_req = {
   c_json : bool;
   c_check : bool;
 }
+
+(* The edit sequence is not in the table: the CLI's one --edits FILE
+   carries two wire keys, the file's name and its text. The table
+   leaves them as the last two arguments. *)
+let eco_params =
+  Return
+    (fun c_theta c_band c_jobs c_json c_check c_edits_name c_edits ->
+      { c_edits_name; c_edits; c_theta; c_band; c_jobs; c_json; c_check })
+  +> theta (fun r -> r.c_theta)
+  +> param "band" "F" (Opt Unit_interval) None
+       "Also carry sensitization verdicts for the near-critical band (same semantics as \
+        $(b,emask paths --band)); verdicts on paths through clean outputs are reused \
+        from the baseline."
+       (fun r -> r.c_band)
+  +> jobs (fun r -> r.c_jobs)
+  +> json (fun r -> r.c_json)
+  +> flag "check"
+       "Cross-check the incremental result against a full from-scratch analysis of \
+        the edited design: the canonical forms must be byte-identical (exit 1 \
+        otherwise). This is the $(b,eco-equal) oracle on the given edit sequence."
+       (fun r -> r.c_check)
 
 (* The baseline snapshot is the expensive, circuit-pure half of an eco
    job; the server memoizes it per (circuit, theta, band) through this

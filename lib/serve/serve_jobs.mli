@@ -52,6 +52,49 @@ val report_synthesis_degradation : Buffer.t -> Masking.Synthesis.t -> unit
 (** The "budget: degraded to ..." line, also needed by CLI commands
     that synthesize outside these runners ([emask wearout]). *)
 
+(** {1 Job parameters}
+
+    Each job's parameters are described once, in one table per job
+    (plus {!budget_params}). The wire codec ({!Serve_protocol}) and
+    the one-shot and client CLI terms are interpreters of these
+    tables. *)
+
+(** The values a parameter accepts. [Opt d] is absent by default and
+    otherwise lies in [d]. *)
+type _ domain =
+  | Unit_interval : float domain  (** (0, 1] *)
+  | Pos_int : int domain
+  | Pos_float : float domain  (** finite and positive *)
+  | Flag : bool domain
+  | Enum : (string * 'a) list -> 'a domain
+  | Opt : 'a domain -> 'a option domain
+
+val valid : 'a domain -> 'a -> bool
+
+val out_of_domain : what:string -> got:string -> 'a domain -> string
+(** The one-line diagnostic for a value outside the domain: WHAT, the
+    domain's phrase, then ", got GOT". Each phrase is written once,
+    here, for the CLI and the wire alike. *)
+
+type ('r, 'a) param = {
+  key : string;  (** the wire key; the CLI flag is it with '-' for '_' *)
+  aliases : string list;  (** further CLI names, e.g. ["j"] *)
+  docv : string;
+  doc : string;  (** cmdliner markup *)
+  domain : 'a domain;
+  default : 'a;  (** the value when the flag or key is absent *)
+  get : 'r -> 'a;  (** read it back from the request record ['r] *)
+}
+
+(** A job's parameter table: [Return f +> p1 +> ... +> pn] applies
+    [f] to the values of [p1 ... pn]. The order is the wire order. *)
+type ('r, 'a) params =
+  | Return : 'a -> ('r, 'a) params
+  | Field : ('r, 'b -> 'a) params * ('r, 'b) param -> ('r, 'a) params
+
+val budget_params : (Budget.spec, Budget.spec) params
+(** [timeout] and [max_nodes]; the other fields are [None]. *)
+
 type lint_req = {
   l_fail_on : Analysis.Diag.severity;
   l_json : bool;
@@ -59,6 +102,8 @@ type lint_req = {
   l_theta : float;
   l_jobs : int;
 }
+
+val lint_params : (lint_req, lint_req) params
 
 val run_lint : note:note -> Buffer.t -> circuit -> lint_req -> int
 (** Lint does its own raw-source staging (diagnosing circuits the
@@ -71,6 +116,8 @@ type spcf_req = {
   s_jobs : int;
 }
 
+val spcf_params : (spcf_req, spcf_req) params
+
 val run_spcf :
   note:note -> Buffer.t -> lookup -> circuit -> spcf_req -> Budget.spec -> int
 
@@ -82,10 +129,14 @@ type paths_req = {
   p_fail_on : Analysis.Diag.severity;
 }
 
+val paths_params : (paths_req, paths_req) params
+
 val run_paths :
   note:note -> Buffer.t -> lookup -> circuit -> paths_req -> Budget.spec -> int
 
 type protect_req = { m_theta : float; m_jobs : int; m_prune : bool }
+
+val protect_params : (protect_req, protect_req) params
 
 val run_protect :
   note:note ->
@@ -108,6 +159,11 @@ type eco_req = {
   c_json : bool;
   c_check : bool;
 }
+
+val eco_params : (eco_req, string -> string -> eco_req) params
+(** Everything but the edit sequence, which the table leaves as the
+    last two arguments, [c_edits_name] then [c_edits]: the CLI's one
+    [--edits FILE] carries both wire keys. *)
 
 type snapshot_for =
   theta:float -> band:float option -> jobs:int -> budget:Budget.t -> Eco.design -> Eco.t

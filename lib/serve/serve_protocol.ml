@@ -15,12 +15,14 @@
      {"status": "ok", "exit": N, "output": S}
      {"status": "rejected"|"error", "code": C, "message": M}
 
-   The parameter vocabulary deliberately mirrors the CLI flags
-   (theta, band, jobs, json, contract, fail_on, max_paths, edits,
-   check, timeout, max_nodes), including their validation: the daemon
-   enforces the same domains the cmdliner converters do, so a request
-   no CLI invocation could express is rejected, not silently
-   interpreted. *)
+   The job parameters are not written down here: the request codec is
+   an interpreter of the parameter tables in [Serve_jobs]
+   ([lint_params] ... [eco_params], [budget_params]), the same tables
+   the CLI flags are derived from. So a request key is its CLI flag
+   with '_' for '-', a value is checked against the same domain with
+   the same message, and a key its job does not take is rejected. Only
+   eco's edit sequence ("edits", "edits_name") and ping's "delay" are
+   hand-written. *)
 
 exception Protocol_error of string
 
@@ -83,234 +85,150 @@ let obj_string key j =
   | Some _ -> bad "%S must be a string" key
   | None -> None
 
-let obj_bool key j =
-  match Obs_json.member key j with
-  | Some (Obs_json.Bool b) -> b
-  | Some _ -> bad "%S must be a boolean" key
-  | None -> false
+(* --- the parameter-table interpreters ------------------------------------- *)
 
-let obj_number key j =
-  match Obs_json.member key j with
-  | Some (Obs_json.Float f) -> Some f
-  | Some (Obs_json.Int i) -> Some (float_of_int i)
-  | Some _ -> bad "%S must be a number" key
-  | None -> None
+let rec of_json : type a. a Serve_jobs.domain -> Obs_json.t -> a option =
+ fun d v ->
+  match (d, v) with
+  | Serve_jobs.Unit_interval, Obs_json.Float f -> Some f
+  | Serve_jobs.Unit_interval, Obs_json.Int i -> Some (float_of_int i)
+  | Serve_jobs.Pos_float, Obs_json.Float f -> Some f
+  | Serve_jobs.Pos_float, Obs_json.Int i -> Some (float_of_int i)
+  | Serve_jobs.Pos_int, Obs_json.Int n -> Some n
+  | Serve_jobs.Flag, Obs_json.Bool b -> Some b
+  | Serve_jobs.Enum cases, Obs_json.String s -> List.assoc_opt s cases
+  | Serve_jobs.Opt d, v -> Option.map Option.some (of_json d v)
+  | _ -> None
 
-(* The same domains the CLI converters enforce, with the same
-   one-line message shapes. *)
-let unit_interval key j ~default =
-  match obj_number key j with
-  | None -> default
-  | Some v ->
-    if v > 0. && v <= 1. then v
-    else bad "%S must lie in (0, 1], got %g" key v
+(* [None] for an absent optional value: its key is left out. An enum
+   value missing from its cases (no decoder produces one) raises
+   [Not_found]. *)
+let rec to_json : type a. a Serve_jobs.domain -> a -> Obs_json.t option =
+ fun d v ->
+  match d with
+  | Serve_jobs.Unit_interval -> Some (Obs_json.Float v)
+  | Serve_jobs.Pos_float -> Some (Obs_json.Float v)
+  | Serve_jobs.Pos_int -> Some (Obs_json.Int v)
+  | Serve_jobs.Flag -> Some (Obs_json.Bool v)
+  | Serve_jobs.Enum cases ->
+    Some (Obs_json.String (fst (List.find (fun (_, c) -> c = v) cases)))
+  | Serve_jobs.Opt d -> Option.bind v (to_json d)
 
-let pos_int key j ~default =
-  match Obs_json.member key j with
-  | None -> default
-  | Some (Obs_json.Int n) when n >= 1 -> n
-  | Some _ -> bad "%S must be a positive integer" key
+(* [member] looks a key up in the request object. *)
+let rec decode : type r a. (r, a) Serve_jobs.params -> (string -> Obs_json.t option) -> a
+    =
+ fun t member ->
+  match t with
+  | Serve_jobs.Return f -> f
+  | Serve_jobs.Field (t, p) -> (
+    let f = decode t member in
+    match member p.Serve_jobs.key with
+    | None -> f p.Serve_jobs.default
+    | Some v -> (
+      match of_json p.Serve_jobs.domain v with
+      | Some x when Serve_jobs.valid p.Serve_jobs.domain x -> f x
+      | _ ->
+        bad "%s"
+          (Serve_jobs.out_of_domain
+             ~what:(Printf.sprintf "%S" p.Serve_jobs.key)
+             ~got:(Obs_json.to_string v) p.Serve_jobs.domain)))
 
-let pos_float_opt key j =
-  match obj_number key j with
-  | None -> None
-  | Some v ->
-    if v > 0. && v < infinity then Some v
-    else bad "%S must be a positive number, got %g" key v
+let rec encode : type r a. (r, a) Serve_jobs.params -> r -> (string * Obs_json.t) list =
+ fun t r ->
+  match t with
+  | Serve_jobs.Return _ -> []
+  | Serve_jobs.Field (t, p) ->
+    encode t r
+    @
+    match to_json p.Serve_jobs.domain (p.Serve_jobs.get r) with
+    | Some v -> [ (p.Serve_jobs.key, v) ]
+    | None -> []
 
-let circuit_of j =
-  match obj_string "circuit" j with
-  | None -> bad "missing \"circuit\""
-  | Some spec -> { Serve_jobs.spec; source = obj_string "source" j }
+(* --- requests ------------------------------------------------------------- *)
 
-let budget_of j =
-  {
-    Budget.timeout = pos_float_opt "timeout" j;
-    max_nodes =
-      (match Obs_json.member "max_nodes" j with
-      | None -> None
-      | Some (Obs_json.Int n) when n >= 1 -> Some n
-      | Some _ -> bad "\"max_nodes\" must be a positive integer");
-    max_ops = None;
-    cancel_with = None;
-  }
-
-let fail_on_of j =
-  match obj_string "fail_on" j with
-  | None | Some "error" -> Analysis.Diag.Error
-  | Some "warning" -> Analysis.Diag.Warning
-  | Some s -> bad "\"fail_on\" must be \"error\" or \"warning\", got %S" s
-
-let algorithm_of j =
-  match obj_string "algorithm" j with
-  | None | Some "short" -> Spcf.Governed.Short_path
-  | Some "path" -> Spcf.Governed.Path_based
-  | Some "node" -> Spcf.Governed.Node_based
-  | Some s -> bad "\"algorithm\" must be short, path or node, got %S" s
-
+(* A job accepts exactly the keys its decoder looks up: [member]
+   records every key asked for, and any other key in the object is
+   rejected by name once decoding is done. *)
 let request_of_json j =
-  match obj_string "job" j with
-  | None -> bad "missing \"job\""
-  | Some "lint" ->
-    Lint
-      ( circuit_of j,
-        {
-          Serve_jobs.l_fail_on = fail_on_of j;
-          l_json = obj_bool "json" j;
-          l_contract = obj_bool "contract" j;
-          l_theta = unit_interval "theta" j ~default:0.9;
-          l_jobs = pos_int "jobs" j ~default:1;
-        } )
-  | Some "spcf" ->
-    Spcf
-      ( circuit_of j,
-        {
-          Serve_jobs.s_theta = unit_interval "theta" j ~default:0.9;
-          s_algorithm = algorithm_of j;
-          s_jobs = pos_int "jobs" j ~default:1;
-        },
-        budget_of j )
-  | Some "paths" ->
-    Paths
-      ( circuit_of j,
-        {
-          Serve_jobs.p_band = unit_interval "band" j ~default:0.1;
-          p_max_paths = pos_int "max_paths" j ~default:4096;
-          p_jobs = pos_int "jobs" j ~default:1;
-          p_json = obj_bool "json" j;
-          p_fail_on = fail_on_of j;
-        },
-        budget_of j )
-  | Some "protect" ->
-    Protect
-      ( circuit_of j,
-        {
-          Serve_jobs.m_theta = unit_interval "theta" j ~default:0.9;
-          m_jobs = pos_int "jobs" j ~default:1;
-          m_prune = obj_bool "prune_false_paths" j;
-        },
-        budget_of j )
-  | Some "eco" ->
-    let edits =
-      match obj_string "edits" j with
-      | Some e -> e
-      | None -> bad "missing \"edits\""
-    in
-    Eco
-      ( circuit_of j,
-        {
-          Serve_jobs.c_edits_name =
-            Option.value ~default:"<request>" (obj_string "edits_name" j);
-          c_edits = edits;
-          c_theta = unit_interval "theta" j ~default:0.9;
-          c_band =
-            (match Obs_json.member "band" j with
-            | None -> None
-            | Some _ -> Some (unit_interval "band" j ~default:0.1));
-          c_jobs = pos_int "jobs" j ~default:1;
-          c_json = obj_bool "json" j;
-          c_check = obj_bool "check" j;
-        },
-        budget_of j )
-  | Some "ping" ->
-    Ping (match obj_number "delay" j with None -> 0. | Some d -> Float.max 0. d)
-  | Some "metrics" -> Metrics
-  | Some "shutdown" -> Shutdown
-  | Some job -> bad "unknown job %S" job
+  let asked = ref [ "job" ] in
+  let member key =
+    asked := key :: !asked;
+    Obs_json.member key j
+  in
+  let string key =
+    asked := key :: !asked;
+    obj_string key j
+  in
+  let required key =
+    match string key with Some s -> s | None -> bad "missing %S" key
+  in
+  let circuit () =
+    let spec = required "circuit" in
+    { Serve_jobs.spec; source = string "source" }
+  in
+  let budget () = decode Serve_jobs.budget_params member in
+  let job = required "job" in
+  let req =
+    match job with
+    | "lint" -> Lint (circuit (), decode Serve_jobs.lint_params member)
+    | "spcf" -> Spcf (circuit (), decode Serve_jobs.spcf_params member, budget ())
+    | "paths" -> Paths (circuit (), decode Serve_jobs.paths_params member, budget ())
+    | "protect" ->
+      Protect (circuit (), decode Serve_jobs.protect_params member, budget ())
+    | "eco" ->
+      let c = circuit () in
+      let edits = required "edits" in
+      let name = Option.value ~default:"<request>" (string "edits_name") in
+      Eco (c, decode Serve_jobs.eco_params member name edits, budget ())
+    | "ping" ->
+      Ping
+        (match member "delay" with
+        | Some (Obs_json.Float d) -> Float.max 0. d
+        | Some (Obs_json.Int d) -> Float.max 0. (float_of_int d)
+        | Some _ -> bad "\"delay\" must be a number"
+        | None -> 0.)
+    | "metrics" -> Metrics
+    | "shutdown" -> Shutdown
+    | job -> bad "unknown job %S" job
+  in
+  (match j with
+  | Obs_json.Obj fields ->
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k !asked) then bad "unknown key %S in a %s request" k job)
+      fields
+  | _ -> ());
+  req
 
 let parse_request payload =
   match Obs_json.of_string payload with
   | Error e -> bad "request is not JSON: %s" e
   | Ok j -> request_of_json j
 
-let json_of_circuit (c : Serve_jobs.circuit) =
-  ("circuit", Obs_json.String c.Serve_jobs.spec)
-  ::
-  (match c.Serve_jobs.source with
-  | Some s -> [ ("source", Obs_json.String s) ]
-  | None -> [])
-
-let json_of_budget (b : Budget.spec) =
-  (match b.Budget.timeout with
-  | Some t -> [ ("timeout", Obs_json.Float t) ]
-  | None -> [])
-  @
-  match b.Budget.max_nodes with
-  | Some n -> [ ("max_nodes", Obs_json.Int n) ]
-  | None -> []
-
-let string_of_fail_on = function
-  | Analysis.Diag.Error -> "error"
-  | Analysis.Diag.Warning -> "warning"
-  | Analysis.Diag.Info -> "info"
-
 let json_of_request r =
   let open Obs_json in
-  let fields =
-    match r with
-    | Lint (c, l) ->
-      (("job", String "lint") :: json_of_circuit c)
-      @ [
-          ( "fail_on",
-            String (string_of_fail_on l.Serve_jobs.l_fail_on) );
-          ("json", Bool l.Serve_jobs.l_json);
-          ("contract", Bool l.Serve_jobs.l_contract);
-          ("theta", Float l.Serve_jobs.l_theta);
-          ("jobs", Int l.Serve_jobs.l_jobs);
-        ]
-    | Spcf (c, s, b) ->
-      (("job", String "spcf") :: json_of_circuit c)
-      @ [
-          ("theta", Float s.Serve_jobs.s_theta);
-          ( "algorithm",
-            String
-              (match s.Serve_jobs.s_algorithm with
-              | Spcf.Governed.Short_path -> "short"
-              | Spcf.Governed.Path_based -> "path"
-              | Spcf.Governed.Node_based -> "node") );
-          ("jobs", Int s.Serve_jobs.s_jobs);
-        ]
-      @ json_of_budget b
-    | Paths (c, p, b) ->
-      (("job", String "paths") :: json_of_circuit c)
-      @ [
-          ("band", Float p.Serve_jobs.p_band);
-          ("max_paths", Int p.Serve_jobs.p_max_paths);
-          ("jobs", Int p.Serve_jobs.p_jobs);
-          ("json", Bool p.Serve_jobs.p_json);
-          ( "fail_on",
-            String (string_of_fail_on p.Serve_jobs.p_fail_on) );
-        ]
-      @ json_of_budget b
-    | Protect (c, m, b) ->
-      (("job", String "protect") :: json_of_circuit c)
-      @ [
-          ("theta", Float m.Serve_jobs.m_theta);
-          ("jobs", Int m.Serve_jobs.m_jobs);
-          ("prune_false_paths", Bool m.Serve_jobs.m_prune);
-        ]
-      @ json_of_budget b
-    | Eco (c, e, b) ->
-      (("job", String "eco") :: json_of_circuit c)
-      @ [
-          ("edits", String e.Serve_jobs.c_edits);
-          ("edits_name", String e.Serve_jobs.c_edits_name);
-          ("theta", Float e.Serve_jobs.c_theta);
-        ]
-      @ (match e.Serve_jobs.c_band with
-        | Some b -> [ ("band", Float b) ]
-        | None -> [])
-      @ [
-          ("jobs", Int e.Serve_jobs.c_jobs);
-          ("json", Bool e.Serve_jobs.c_json);
-          ("check", Bool e.Serve_jobs.c_check);
-        ]
-      @ json_of_budget b
-    | Ping d -> [ ("job", String "ping"); ("delay", Float d) ]
-    | Metrics -> [ ("job", String "metrics") ]
-    | Shutdown -> [ ("job", String "shutdown") ]
+  let job name (c : Serve_jobs.circuit) fields =
+    let source =
+      match c.Serve_jobs.source with Some s -> [ ("source", String s) ] | None -> []
+    in
+    Obj
+      ((("job", String name) :: ("circuit", String c.Serve_jobs.spec) :: source) @ fields)
   in
-  Obj fields
+  let budget b = encode Serve_jobs.budget_params b in
+  match r with
+  | Lint (c, l) -> job "lint" c (encode Serve_jobs.lint_params l)
+  | Spcf (c, s, b) -> job "spcf" c (encode Serve_jobs.spcf_params s @ budget b)
+  | Paths (c, p, b) -> job "paths" c (encode Serve_jobs.paths_params p @ budget b)
+  | Protect (c, m, b) -> job "protect" c (encode Serve_jobs.protect_params m @ budget b)
+  | Eco (c, e, b) ->
+    job "eco" c
+      ((("edits", String e.Serve_jobs.c_edits)
+       :: ("edits_name", String e.Serve_jobs.c_edits_name)
+       :: encode Serve_jobs.eco_params e)
+      @ budget b)
+  | Ping d -> Obj [ ("job", String "ping"); ("delay", Float d) ]
+  | Metrics -> Obj [ ("job", String "metrics") ]
+  | Shutdown -> Obj [ ("job", String "shutdown") ]
 
 (* --- responses ----------------------------------------------------------- *)
 

@@ -2,11 +2,12 @@
     request and one response per connection.
 
     A frame is a 4-byte big-endian length followed by that many bytes
-    of JSON (capped at 64 MiB). The request parameter vocabulary
-    mirrors the CLI flags, including their validation — the daemon
-    enforces the same domains the cmdliner converters do, so a request
-    no CLI invocation could express raises {!Protocol_error} instead
-    of being silently interpreted. *)
+    of JSON (capped at 64 MiB). The request codec interprets the
+    parameter tables of {!Serve_jobs}, the single source the CLI flags
+    are derived from too: the same keys, defaults and domains, so a
+    request no CLI invocation could express, including one with a key
+    its job does not take, raises {!Protocol_error} instead of being
+    silently interpreted. *)
 
 exception Protocol_error of string
 (** Framing or codec failure. The server answers with a

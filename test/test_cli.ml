@@ -10,12 +10,13 @@ let emask =
   | Some path -> path
   | None -> Filename.concat ".." (Filename.concat "bin" "emask.exe")
 
-(* Run the binary, returning (exit code, stdout lines, stderr lines). *)
-let run args =
+(* Run the binary, returning (exit code, stdout lines, stderr lines).
+   [env] is prepended to the command line, e.g. "EMASK_JOBS=3 ". *)
+let run ?(env = "") args =
   let out = Filename.temp_file "emask_out" ".txt" in
   let err = Filename.temp_file "emask_err" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote emask)
+    Printf.sprintf "%s%s %s > %s 2> %s" env (Filename.quote emask)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
   in
@@ -206,6 +207,36 @@ let test_paths_diags () =
   in
   check_int "fail-on warning exits 1" 1 code
 
+let contains text needle =
+  let n = String.length needle and len = String.length text in
+  let rec go i = i + n <= len && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
+let test_client_flags () =
+  (* emask client JOB takes exactly the one-shot JOB's flags: --band is
+     a paths/eco parameter, so on a lint job it is a usage error (the
+     command line is rejected before any connection is made). *)
+  let code, _, err = run [ "client"; "lint"; "cmb"; "--band"; "0.3" ] in
+  check_int "client lint --band is a usage error" 124 code;
+  check "the diagnostic names --band" true
+    (match err with line :: _ -> contains line "--band" | [] -> false)
+
+let test_jobs_default () =
+  (* --jobs defaults to 1 for every job, whatever EMASK_JOBS says (only
+     emask serve reads it, for its worker count): eco JSON echoes 1, and
+     a malformed EMASK_JOBS does not fail a one-shot run. *)
+  let edits = Filename.temp_file "emask_edits" ".eco" in
+  List.iter
+    (fun env ->
+      let code, out, _ = run ~env [ "eco"; "cmb"; "--edits"; edits; "--json" ] in
+      check_int (env ^ "eco exits 0") 0 code;
+      check (env ^ "eco JSON echoes jobs 1") true
+        (contains (String.concat "\n" out) "\"jobs\":1,"))
+    [ ""; "EMASK_JOBS=3 " ];
+  Sys.remove edits;
+  let code, _, _ = run ~env:"EMASK_JOBS=abc " [ "spcf"; "cmb" ] in
+  check_int "spcf ignores a malformed EMASK_JOBS" 0 code
+
 let () =
   Alcotest.run "cli"
     [
@@ -218,5 +249,7 @@ let () =
           Alcotest.test_case "paths examples" `Quick test_paths_examples;
           Alcotest.test_case "paths jobs identical" `Quick test_paths_jobs_identical;
           Alcotest.test_case "paths diagnostics" `Quick test_paths_diags;
+          Alcotest.test_case "client flags" `Quick test_client_flags;
+          Alcotest.test_case "jobs default" `Quick test_jobs_default;
         ] );
     ]

@@ -451,7 +451,274 @@ let test_protocol_rejections () =
         check_string "theta code" "PROTO001" code;
         check "theta message names the domain" true (contains msg "(0, 1]")
       | _ -> Alcotest.fail "expected a PROTO001 rejection");
-      Unix.close fd)
+      Unix.close fd;
+      (* A key the job does not take is rejected by name, not ignored:
+         a misspelling, another job's parameter, a budget key on a job
+         that takes no budget. *)
+      List.iter
+        (fun (request, key) ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          Serve_protocol.write_frame fd request;
+          (match Serve_protocol.recv_response fd with
+          | Serve_protocol.Rejected (code, msg) ->
+            check_string (key ^ " code") "PROTO001" code;
+            check (key ^ " named in: " ^ msg) true (contains msg (Printf.sprintf "%S" key))
+          | _ -> Alcotest.failf "%s: expected a PROTO001 rejection" request);
+          Unix.close fd)
+        [
+          ({|{"job":"spcf","circuit":"cmb","thetta":0.5}|}, "thetta");
+          ({|{"job":"spcf","circuit":"cmb","max_paths":0}|}, "max_paths");
+          ({|{"job":"lint","circuit":"cmb","timeout":1}|}, "timeout");
+        ])
+
+(* --- the request codec ----------------------------------------------------- *)
+
+let cmb = { Serve_jobs.spec = "cmb"; source = None }
+let inline = { Serve_jobs.spec = "x.blif"; source = Some ".model x\n.end\n" }
+let budget = { Budget.no_limits with Budget.timeout = Some 2.5; max_nodes = Some 1000 }
+
+(* Every job with every parameter off its default, with and without an
+   inline source and a budget. *)
+let non_default =
+  List.concat_map
+    (fun (c, b) ->
+      [
+        Serve_protocol.Lint
+          ( c,
+            {
+              Serve_jobs.l_fail_on = Analysis.Diag.Warning;
+              l_json = true;
+              l_contract = true;
+              l_theta = 0.75;
+              l_jobs = 3;
+            } );
+        Serve_protocol.Spcf
+          ( c,
+            { Serve_jobs.s_theta = 0.5; s_algorithm = Spcf.Governed.Node_based; s_jobs = 2 },
+            b );
+        Serve_protocol.Spcf
+          ( c,
+            { Serve_jobs.s_theta = 1.; s_algorithm = Spcf.Governed.Path_based; s_jobs = 1 },
+            b );
+        Serve_protocol.Paths
+          ( c,
+            {
+              Serve_jobs.p_band = 0.3;
+              p_max_paths = 7;
+              p_jobs = 2;
+              p_json = true;
+              p_fail_on = Analysis.Diag.Warning;
+            },
+            b );
+        Serve_protocol.Protect (c, { Serve_jobs.m_theta = 0.8; m_jobs = 5; m_prune = true }, b);
+        Serve_protocol.Eco
+          ( c,
+            {
+              Serve_jobs.c_edits_name = "e.eco";
+              c_edits = "rewire g 0 pi0\n";
+              c_theta = 0.6;
+              c_band = Some 0.2;
+              c_jobs = 4;
+              c_json = true;
+              c_check = true;
+            },
+            b );
+      ])
+    [ (cmb, Budget.no_limits); (inline, Budget.no_limits); (cmb, budget); (inline, budget) ]
+
+(* A request that names only its job (and circuit, and eco's edits)
+   decodes to the table defaults. *)
+let defaults =
+  [
+    ( {|{"job":"lint","circuit":"cmb"}|},
+      Serve_protocol.Lint
+        ( cmb,
+          {
+            Serve_jobs.l_fail_on = Analysis.Diag.Error;
+            l_json = false;
+            l_contract = false;
+            l_theta = 0.9;
+            l_jobs = 1;
+          } ) );
+    ( {|{"job":"spcf","circuit":"cmb"}|},
+      Serve_protocol.Spcf
+        ( cmb,
+          { Serve_jobs.s_theta = 0.9; s_algorithm = Spcf.Governed.Short_path; s_jobs = 1 },
+          Budget.no_limits ) );
+    ( {|{"job":"paths","circuit":"cmb"}|},
+      Serve_protocol.Paths
+        ( cmb,
+          {
+            Serve_jobs.p_band = 0.1;
+            p_max_paths = 4096;
+            p_jobs = 1;
+            p_json = false;
+            p_fail_on = Analysis.Diag.Error;
+          },
+          Budget.no_limits ) );
+    ( {|{"job":"protect","circuit":"cmb"}|},
+      Serve_protocol.Protect
+        (cmb, { Serve_jobs.m_theta = 0.9; m_jobs = 1; m_prune = false }, Budget.no_limits) );
+    ( {|{"job":"eco","circuit":"cmb","edits":""}|},
+      Serve_protocol.Eco
+        ( cmb,
+          {
+            Serve_jobs.c_edits_name = "<request>";
+            c_edits = "";
+            c_theta = 0.9;
+            c_band = None;
+            c_jobs = 1;
+            c_json = false;
+            c_check = false;
+          },
+          Budget.no_limits ) );
+    ({|{"job":"ping"}|}, Serve_protocol.Ping 0.);
+    ({|{"job":"metrics"}|}, Serve_protocol.Metrics);
+    ({|{"job":"shutdown"}|}, Serve_protocol.Shutdown);
+  ]
+
+let wire r = Obs_json.to_string (Serve_protocol.json_of_request r)
+
+let test_codec_roundtrip () =
+  List.iter
+    (fun (json, want) ->
+      check (json ^ " decodes to the defaults") true
+        (Serve_protocol.parse_request json = want))
+    defaults;
+  List.iter
+    (fun r -> check (wire r ^ " round-trips") true (Serve_protocol.parse_request (wire r) = r))
+    (List.map snd defaults @ non_default)
+
+(* The bytes json_of_request emitted before the codec was derived from
+   the parameter tables. perfbench keys its fixed samples on digests of
+   these bytes, so key order and float rendering must not move. The
+   first four are shaped like the perfbench requests. *)
+let test_golden_wire () =
+  let c432 = { Serve_jobs.spec = "C432"; source = None } in
+  let nl = Budget.no_limits in
+  List.iter
+    (fun (r, want) -> check_string want want (wire r))
+    [
+      ( Serve_protocol.Spcf
+          ( c432,
+            { Serve_jobs.s_theta = 0.9; s_algorithm = Spcf.Governed.Short_path; s_jobs = 1 },
+            nl ),
+        {|{"job":"spcf","circuit":"C432","theta":0.9,"algorithm":"short","jobs":1}|} );
+      ( Serve_protocol.Protect
+          (c432, { Serve_jobs.m_theta = 0.9; m_jobs = 1; m_prune = false }, nl),
+        {|{"job":"protect","circuit":"C432","theta":0.9,"jobs":1,"prune_false_paths":false}|}
+      );
+      ( Serve_protocol.Paths
+          ( c432,
+            {
+              Serve_jobs.p_band = 0.1;
+              p_max_paths = 4096;
+              p_jobs = 1;
+              p_json = false;
+              p_fail_on = Analysis.Diag.Error;
+            },
+            nl ),
+        {|{"job":"paths","circuit":"C432","band":0.1,"max_paths":4096,"jobs":1,"json":false,"fail_on":"error"}|}
+      );
+      ( Serve_protocol.Eco
+          ( { Serve_jobs.spec = "C880"; source = None },
+            {
+              Serve_jobs.c_edits_name = "seed0-1";
+              c_edits = "rewire g_AN3_2 0 pi0\n";
+              c_theta = 0.9;
+              c_band = None;
+              c_jobs = 1;
+              c_json = false;
+              c_check = false;
+            },
+            nl ),
+        {|{"job":"eco","circuit":"C880","edits":"rewire g_AN3_2 0 pi0\n","edits_name":"seed0-1","theta":0.9,"jobs":1,"json":false,"check":false}|}
+      );
+      ( Serve_protocol.Lint
+          ( inline,
+            {
+              Serve_jobs.l_fail_on = Analysis.Diag.Warning;
+              l_json = true;
+              l_contract = true;
+              l_theta = 0.75;
+              l_jobs = 3;
+            } ),
+        {|{"job":"lint","circuit":"x.blif","source":".model x\n.end\n","fail_on":"warning","json":true,"contract":true,"theta":0.75,"jobs":3}|}
+      );
+      ( Serve_protocol.Spcf
+          ( c432,
+            { Serve_jobs.s_theta = 0.5; s_algorithm = Spcf.Governed.Node_based; s_jobs = 2 },
+            { nl with Budget.timeout = Some 2.5; max_nodes = Some 1000 } ),
+        {|{"job":"spcf","circuit":"C432","theta":0.5,"algorithm":"node","jobs":2,"timeout":2.5,"max_nodes":1000}|}
+      );
+      ( Serve_protocol.Eco
+          ( c432,
+            {
+              Serve_jobs.c_edits_name = "e.eco";
+              c_edits = "";
+              c_theta = 1.0;
+              c_band = Some 0.2;
+              c_jobs = 4;
+              c_json = true;
+              c_check = true;
+            },
+            { nl with Budget.timeout = Some 1. } ),
+        {|{"job":"eco","circuit":"C432","edits":"","edits_name":"e.eco","theta":1.0,"band":0.2,"jobs":4,"json":true,"check":true,"timeout":1.0}|}
+      );
+      (Serve_protocol.Ping 0.5, {|{"job":"ping","delay":0.5}|});
+      (Serve_protocol.Metrics, {|{"job":"metrics"}|});
+      (Serve_protocol.Shutdown, {|{"job":"shutdown"}|});
+    ]
+
+(* --- a daemon that drops the connection ------------------------------------ *)
+
+(* A peer that closes the connection, before reading the request or in
+   the middle of its response, is an I/O error on the client: one
+   "emask: error IO001: ..." line and exit 2, not a SIGPIPE death or an
+   uncaught exception. *)
+let test_dropped_connection () =
+  List.iter
+    (fun (what, serve) ->
+      let sock = fresh_sock () in
+      if Sys.file_exists sock then Sys.remove sock;
+      let lsn = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind lsn (Unix.ADDR_UNIX sock);
+      Unix.listen lsn 1;
+      let err = Filename.temp_file "emask_err" ".txt" in
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process emask
+          [| emask; "client"; "spcf"; "cmb"; "--socket"; sock |]
+          dev_null dev_null err_fd
+      in
+      Unix.close dev_null;
+      Unix.close err_fd;
+      let conn, _ = Unix.accept lsn in
+      serve conn;
+      Unix.close conn;
+      let _, status = Unix.waitpid [] pid in
+      Unix.close lsn;
+      Sys.remove sock;
+      let lines = In_channel.with_open_text err In_channel.input_all in
+      Sys.remove err;
+      check_string (what ^ " exit") "exit 2"
+        (match status with
+        | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+        | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
+        | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n);
+      check (what ^ " one IO001 line: " ^ lines) true
+        (String.starts_with ~prefix:"emask: error IO001: " lines
+        && List.length (String.split_on_char '\n' (String.trim lines)) = 1))
+    [
+      ("close before reading", fun _ -> ());
+      ( "close mid-response",
+        fun fd ->
+          ignore (Serve_protocol.read_frame fd);
+          let partial = Bytes.of_string "\x00\x00\x03\xe8{\"status\"" in
+          ignore (Unix.write fd partial 0 (Bytes.length partial)) );
+    ]
 
 let () =
   Alcotest.run "serve"
@@ -470,5 +737,8 @@ let () =
           Alcotest.test_case "queued disconnect drops" `Quick
             test_queued_disconnect_drops;
           Alcotest.test_case "protocol rejections" `Quick test_protocol_rejections;
+          Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "golden wire bytes" `Quick test_golden_wire;
+          Alcotest.test_case "dropped connection" `Quick test_dropped_connection;
         ] );
     ]
