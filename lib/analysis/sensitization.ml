@@ -79,19 +79,24 @@ let c_unknown = Obs.counter "sens.unknown"
 
 (* --- SAT witness extraction -------------------------------------------- *)
 
-(* Encode the path's static-sensitization condition into CNF over the
-   fanin cone of its output and solve with the DPLL engine. Primary
-   inputs take solver variables 0 .. npis-1 by input position, so a
-   model projects directly onto a witness vector. Returns [None] on
-   UNSAT — which the caller treats as an engine disagreement, since it
-   only asks after the BDD found the condition satisfiable. *)
-let witness_of_path ~budget net ~npis path =
-  let sigs = path.Paths.signals in
-  let po = sigs.(Array.length sigs - 1) in
+(* The CNF of an output's fanin cone, shared by every path ending at
+   that output: its clauses, the next free solver variable, each cone
+   signal's encoding, and the cone's share of the variable estimate.
+   Primary inputs take solver variables 0 .. npis-1 by input position,
+   so a model projects directly onto a witness vector. *)
+type cone_cnf = {
+  cnf : Dpll.t;
+  next_var : int;
+  repr : Tseitin.input array;
+  est : int;
+}
+
+let encode_cone net ~npis po =
   let cone = Network.cone net [ po ] in
   (* A safe variable upper bound: [encode_sop] allocates at most one
      variable per cube plus one for the OR — once for each cone gate,
-     twice more (both substitutions) for each on-path gate. *)
+     twice more (both substitutions, see [witness_of_path]) for each
+     on-path gate. *)
   let est = ref (npis + 8) in
   Array.iter
     (fun s ->
@@ -100,13 +105,7 @@ let witness_of_path ~budget net ~npis path =
         | Some nd -> est := !est + Logic2.Cover.num_cubes nd.Network.func + 1
         | None -> ())
     (Network.topo_order net);
-  Array.iter
-    (fun s ->
-      match Network.node_of net s with
-      | Some nd -> est := !est + (2 * (Logic2.Cover.num_cubes nd.Network.func + 1))
-      | None -> ())
-    sigs;
-  let solver = Dpll.create !est in
+  let cnf = Dpll.create !est in
   let next_var = ref npis in
   let repr = Array.make (Network.num_signals net) (Tseitin.Const false) in
   let positions = Network.input_positions net in
@@ -120,8 +119,36 @@ let witness_of_path ~budget net ~npis path =
         | None -> ()
         | Some nd ->
           let binds = Array.map (fun f -> repr.(f)) nd.Network.fanins in
-          repr.(s) <- Tseitin.encode_sop solver next_var nd.Network.func binds)
+          repr.(s) <- Tseitin.encode_sop cnf next_var nd.Network.func binds)
     (Network.topo_order net);
+  { cnf; next_var = !next_var; repr; est = !est }
+
+(* Add the path's static-sensitization condition to its output's cone
+   CNF (encoded once per output into [cones]) and solve with the DPLL
+   engine. Returns [None] on UNSAT — which the caller treats as an
+   engine disagreement, since it only asks after the BDD found the
+   condition satisfiable. *)
+let witness_of_path ~budget ~cones net ~npis path =
+  let sigs = path.Paths.signals in
+  let po = sigs.(Array.length sigs - 1) in
+  let cone =
+    match Hashtbl.find_opt cones po with
+    | Some c -> c
+    | None ->
+      let c = encode_cone net ~npis po in
+      Hashtbl.add cones po c;
+      c
+  in
+  let est = ref cone.est in
+  Array.iter
+    (fun s ->
+      match Network.node_of net s with
+      | Some nd -> est := !est + (2 * (Logic2.Cover.num_cubes nd.Network.func + 1))
+      | None -> ())
+    sigs;
+  let solver = Dpll.create ~base:cone.cnf !est in
+  let next_var = ref cone.next_var in
+  let repr = cone.repr in
   for i = 1 to Array.length sigs - 1 do
     let g = sigs.(i) and x = sigs.(i - 1) in
     match Network.node_of net g with
@@ -176,7 +203,7 @@ let gate_condition cache ctx g x =
 
 exception Dead
 
-let classify_one ~cache ctx ~npis path =
+let classify_one ~cache ~cones ctx ~npis path =
   Obs.incr c_paths;
   let verdict =
     match
@@ -196,7 +223,7 @@ let classify_one ~cache ctx ~npis path =
            produce a witness, and the BDD must accept it. Either
            failure is an engine disagreement, not a verdict. *)
         match
-          witness_of_path ~budget:ctx.Spcf.Ctx.budget net ~npis path
+          witness_of_path ~budget:ctx.Spcf.Ctx.budget ~cones net ~npis path
         with
         | Some w ->
           if not (Bdd.eval man !cond w) then
@@ -264,15 +291,16 @@ let make_report ctx enum classified =
       List.fold_left (fun acc s -> Float.max acc s.functional) 0. summaries;
   }
 
-(* Classify paths in order with one shared Boolean-difference cache.
-   Also the incremental/ECO integration point: [Eco.recompute] reuses
-   verdicts for paths whose cone is clean and hands only the stale
-   remainder here. *)
+(* Classify paths in order with one shared Boolean-difference cache
+   and one cone CNF per output, both local to the call (serve workers
+   classify on several domains at once). Also the incremental/ECO
+   integration point: [Eco.recompute] reuses verdicts for paths whose
+   cone is clean and hands only the stale remainder here. *)
 let classify_paths ctx paths =
   let net = Spcf.Ctx.network ctx in
   let npis = Array.length (Network.inputs net) in
-  let cache = Hashtbl.create 64 in
-  List.map (classify_one ~cache ctx ~npis) paths
+  let cache = Hashtbl.create 64 and cones = Hashtbl.create 16 in
+  List.map (classify_one ~cache ~cones ctx ~npis) paths
 
 let assemble = make_report
 

@@ -131,6 +131,44 @@ let test_full_vs_incremental () =
       Drop_output { oname = "y2" };
     ]
 
+(* Under `dune runtest` the cwd is the test directory (fixtures are
+   declared deps); fall back for manual runs from the repo root. *)
+let fixture_text name =
+  let candidates =
+    [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> Alcotest.failf "fixture %s not found" name
+
+let test_slow_sensitization () =
+  (* Four C880 edits whose result needs 9 true near-critical paths
+     certified by the DPLL witness search, at a cost that exposes its
+     propagation: pin the search tree (snapshot plus recompute, what
+     [emask eco --band 0.1] runs) and check the incremental result
+     against a from-scratch snapshot. *)
+  let d = Eco.design_of_mapped (Mapper.map (Suite.load "C880")) in
+  let edits = Eco.parse_edits d (fixture_text "c880_slow_sens.eco") in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let incr, decisions, conflicts =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let incr = Eco.recompute (Eco.snapshot ~band:0.1 d) edits in
+        ( incr,
+          Obs.counter_value (Obs.counter "sat.dpll.decisions"),
+          Obs.counter_value (Obs.counter "sat.dpll.conflicts") ))
+  in
+  check_int "decisions" 246900 decisions;
+  check_int "conflicts" 241665 conflicts;
+  let d', _, _ = Eco.apply_all d edits in
+  check_string "matches full recompute"
+    (Eco.canonical (Eco.snapshot ~band:0.1 d'))
+    (Eco.canonical incr)
+
 (* --- snapshot round-trip ------------------------------------------------ *)
 
 let test_snapshot_roundtrip () =
@@ -263,6 +301,7 @@ let () =
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
           Alcotest.test_case "sigma handle reuse" `Quick test_sigma_handle_reused;
+          Alcotest.test_case "C880 slow sensitization" `Quick test_slow_sensitization;
         ] );
       ( "edits",
         [

@@ -17,21 +17,26 @@ let test_dpll_basic () =
   Dpll.add_clause u [ Dpll.neg 0 ];
   check "contradiction unsat" false (Dpll.is_satisfiable u)
 
-let test_dpll_pigeonhole () =
-  (* 3 pigeons, 2 holes: classic small UNSAT instance. p(i,h) = var. *)
-  let v i h = (i * 2) + h in
-  let s = Dpll.create 6 in
-  for i = 0 to 2 do
-    Dpll.add_clause s [ Dpll.pos (v i 0); Dpll.pos (v i 1) ]
+(* [pigeons] pigeons in [holes] holes, p(i,h) = variable i * holes + h:
+   unsatisfiable when pigeons > holes. *)
+let pigeonhole ~pigeons ~holes =
+  let v i h = (i * holes) + h in
+  let s = Dpll.create (pigeons * holes) in
+  for i = 0 to pigeons - 1 do
+    Dpll.add_clause s (List.init holes (fun h -> Dpll.pos (v i h)))
   done;
-  for h = 0 to 1 do
-    for i = 0 to 2 do
-      for j = i + 1 to 2 do
+  for h = 0 to holes - 1 do
+    for i = 0 to pigeons - 1 do
+      for j = i + 1 to pigeons - 1 do
         Dpll.add_clause s [ Dpll.neg (v i h); Dpll.neg (v j h) ]
       done
     done
   done;
-  check "pigeonhole unsat" false (Dpll.is_satisfiable s)
+  s
+
+let test_dpll_pigeonhole () =
+  (* 3 pigeons, 2 holes: classic small UNSAT instance. *)
+  check "pigeonhole unsat" false (Dpll.is_satisfiable (pigeonhole ~pigeons:3 ~holes:2))
 
 let test_dpll_random_vs_enumeration () =
   (* Random 3-CNF over 8 vars: DPLL verdict must match enumeration. *)
@@ -63,6 +68,102 @@ let test_dpll_random_vs_enumeration () =
     in
     check "dpll = enumeration" brute (Dpll.is_satisfiable s)
   done
+
+(* The model contract: [solve] returns the first model in variable
+   order, true before false — the assignment whose bit string (variable
+   0 first, true read as 0) is smallest — or [Unsat] when there is
+   none. Random CNFs over at most 10 variables, with unit clauses, the
+   empty clause, clauses repeating a literal and variables no clause
+   mentions. *)
+let cnf_gen =
+  let open QCheck.Gen in
+  int_range 1 10 >>= fun nvars ->
+  (* Literals draw from a prefix of the variables, so the rest appear in
+     no clause. *)
+  int_range 1 nvars >>= fun used ->
+  let lit = map2 (fun v n -> if n then Dpll.neg v else Dpll.pos v) (int_bound (used - 1)) bool in
+  let clause =
+    frequency
+      [
+        (1, return []);
+        (4, map (fun l -> [ l ]) lit);
+        (3, map (fun l -> [ l; l ]) lit);
+        (4, map2 (fun a b -> [ a; a; b ]) lit lit);
+        (20, list_size (int_range 2 4) lit);
+      ]
+  in
+  map (fun clauses -> (nvars, clauses)) (list_size (int_bound 24) clause)
+
+let print_cnf (nvars, clauses) =
+  let lit l = Printf.sprintf "%s%d" (if Dpll.is_neg l then "-" else "") (Dpll.var_of l) in
+  Printf.sprintf "%d vars: %s" nvars
+    (String.concat " & "
+       (List.map (fun c -> "[" ^ String.concat " " (List.map lit c) ^ "]") clauses))
+
+let first_model nvars clauses =
+  let sat m =
+    List.for_all
+      (List.exists (fun l -> m.(Dpll.var_of l) <> Dpll.is_neg l))
+      clauses
+  in
+  let rec from i =
+    if i = 1 lsl nvars then None
+    else
+      let m = Array.init nvars (fun v -> (i lsr (nvars - 1 - v)) land 1 = 0) in
+      if sat m then Some m else from (i + 1)
+  in
+  from 0
+
+let prop_dpll_first_model =
+  QCheck.Test.make ~name:"first model vs enumeration" ~count:500
+    (QCheck.make ~print:print_cnf cnf_gen) (fun (nvars, clauses) ->
+      let s = Dpll.create nvars in
+      List.iter (Dpll.add_clause s) clauses;
+      match (Dpll.solve s, first_model nvars clauses) with
+      | Dpll.Sat m, Some e -> m = e
+      | Dpll.Unsat, None -> true
+      | _ -> false)
+
+let test_dpll_budget () =
+  (* 5 pigeons, 4 holes is unsatisfiable and takes far more than 3
+     decisions to refute: a 3-decision budget must abort the search,
+     never answer [Unsat]. *)
+  check "unbudgeted: unsat" false (Dpll.is_satisfiable (pigeonhole ~pigeons:5 ~holes:4));
+  check "budget exhausted, not unsat" true
+    (match Dpll.solve ~budget:(Budget.create ~max_ops:3 ()) (pigeonhole ~pigeons:5 ~holes:4) with
+    | _ -> false
+    | exception Budget.Budget_exceeded Budget.Ops -> true);
+  (* A satisfiable formula needing one decision per variable. *)
+  let free = Dpll.create 8 in
+  check "8 decisions exceed 7" true
+    (match Dpll.solve ~budget:(Budget.create ~max_ops:7 ()) free with
+    | _ -> false
+    | exception Budget.Budget_exceeded Budget.Ops -> true);
+  check "8 decisions fit in 8" true
+    (Dpll.solve ~budget:(Budget.create ~max_ops:8 ()) free = Dpll.Sat (Array.make 8 true))
+
+let test_dpll_repeated_literal () =
+  (* A clause is unit only when exactly one literal occurrence is left
+     unassigned: [x0 ∨ x0 ∨ x1] with x1 false, or [x0 ∨ x1 ∨ x1] with x0
+     false, still has two, so the variable is decided rather than
+     propagated. The decision counts pinned on real instances rest on
+     this. *)
+  List.iter
+    (fun (name, clauses, model) ->
+      let s = Dpll.create 2 in
+      List.iter (Dpll.add_clause s) clauses;
+      Obs.reset ();
+      Obs.set_enabled true;
+      let r = Dpll.solve s in
+      let decisions = Obs.counter_value (Obs.counter "sat.dpll.decisions") in
+      Obs.set_enabled false;
+      Obs.reset ();
+      check (name ^ ": model") true (r = Dpll.Sat model);
+      Alcotest.(check int) (name ^ ": one decision") 1 decisions)
+    [
+      ("a a b", [ [ Dpll.neg 1 ]; [ Dpll.pos 0; Dpll.pos 0; Dpll.pos 1 ] ], [| true; false |]);
+      ("a b b", [ [ Dpll.neg 0 ]; [ Dpll.pos 0; Dpll.pos 1; Dpll.pos 1 ] ], [| false; true |]);
+    ]
 
 let test_miter_agrees_with_bdd () =
   (* SAT miter and BDD equivalence agree on optimized copies. The
@@ -118,6 +219,9 @@ let () =
           Alcotest.test_case "basics" `Quick test_dpll_basic;
           Alcotest.test_case "pigeonhole" `Quick test_dpll_pigeonhole;
           Alcotest.test_case "random vs enumeration" `Quick test_dpll_random_vs_enumeration;
+          QCheck_alcotest.to_alcotest ~rand:(Fuzz.Rng.qcheck_state ()) prop_dpll_first_model;
+          Alcotest.test_case "budget exhaustion" `Quick test_dpll_budget;
+          Alcotest.test_case "repeated literals" `Quick test_dpll_repeated_literal;
         ] );
       ( "miter",
         [

@@ -136,6 +136,37 @@ let test_prune_preserved_on_suite () =
       verify_ok name m)
     [ "i1"; "cmb"; "x2"; "C432" ]
 
+(* The witness search's tree on real instances: the DPLL makes the same
+   decisions and conflicts for a given CNF whatever its propagation
+   does, so these counts change only with the encoding or the search
+   order. *)
+let dpll_counts f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      ( r,
+        Obs.counter_value (Obs.counter "sat.dpll.decisions"),
+        Obs.counter_value (Obs.counter "sat.dpll.conflicts") ))
+
+let test_search_tree () =
+  List.iter
+    (fun (name, (nt, nf), (decisions, conflicts)) ->
+      let r, d, c =
+        dpll_counts (fun () -> Sensitization.analyze (Mapper.map (Suite.load name)))
+      in
+      let t, f, u = Sensitization.counts r in
+      check_int (name ^ ": true") nt t;
+      check_int (name ^ ": false") nf f;
+      check_int (name ^ ": unknown") 0 u;
+      check_int (name ^ ": decisions") decisions d;
+      check_int (name ^ ": conflicts") conflicts c)
+    [ ("C432", (7, 53), (1501, 412)); ("C2670", (30, 38), (9972, 828)) ]
+
 let () =
   Alcotest.run "sensitization"
     [
@@ -149,6 +180,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "budget unknown" `Quick test_budget_unknown;
+          Alcotest.test_case "search tree" `Quick test_search_tree;
         ] );
       ( "pruning",
         [
